@@ -10,6 +10,7 @@ from .core import (
     dominated_components,
     eval_component,
     evaluate,
+    evaluate_batch,
     tracked_evaluate,
 )
 from .generators import (
@@ -56,6 +57,7 @@ __all__ = [
     "dump_instance",
     "eval_component",
     "evaluate",
+    "evaluate_batch",
     "export_grid",
     "gen_conditioning",
     "gen_interaction",

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from . import generators
-from .core import classify, dominated_components, evaluate
+from .core import classify, dominated_components, evaluate, evaluate_batch
 from .generators import ScenarioConfig, suite_instance
 from .harness import (
     DEFAULT_BUDGET,
@@ -87,6 +87,14 @@ def _read_points(path: str) -> np.ndarray:
     if points.ndim == 1:
         points = points[None, :]
     return points
+
+
+def _number_list(flag: str, raw: str, kind) -> list:
+    """Parse a comma-separated flag value; a malformed one is a usage error."""
+    try:
+        return [kind(v) for v in raw.split(",")]
+    except ValueError:
+        raise _UsageError(f"{flag} must be a comma-separated list, got {raw!r}") from None
 
 
 def _scenario_instance(name: str, value: float, args) -> "generators.ProblemInstance":
@@ -222,7 +230,7 @@ def _milestones(args) -> tuple[int, ...]:
     if args.milestones is None:
         ms = tuple(m for m in DEFAULT_MILESTONES if m <= args.budget)
         return ms or (args.budget,)
-    return tuple(int(v) for v in args.milestones.split(","))
+    return tuple(_number_list("--milestones", args.milestones, int))
 
 
 def _emit_reports(args, reports) -> None:
@@ -258,7 +266,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     args.seed = _seed_or_env(args)
-    values = [float(v) for v in args.values.split(",")]
+    values = _number_list("--values", args.values, float)
     template = ExperimentSpec(
         instance=_scenario_instance(args.scenario, values[0], args),
         optimizer=OptimizerConfig(kind=args.optimizer, population=args.population),
@@ -301,11 +309,9 @@ def _cmd_verify(args) -> int:
     reparsed = load_instance(dump_instance(instance))
     rng = np.random.default_rng(0)
     probes = rng.uniform(instance.lower, instance.upper, size=(100, instance.dim))
-    for x in probes:
-        a, b = evaluate(instance, x), evaluate(reparsed, x)
-        if abs(a - b) > 1e-15 * max(1.0, abs(a)):
-            problems.append("round-trip evaluation mismatch")
-            break
+    a, b = evaluate_batch(instance, probes), evaluate_batch(reparsed, probes)
+    if np.any(np.abs(a - b) > 1e-15 * np.maximum(1.0, np.abs(a))):
+        problems.append("round-trip evaluation mismatch")
     if problems:
         for line in problems:
             sys.stderr.write(f"verify: {line}\n")

@@ -8,16 +8,23 @@ component is a (possibly rotated, scaled, modulated) basin
 with diagonal H > 0 and orthogonal R.  Evaluation is defined everywhere;
 box bounds are a search-region contract enforced by optimizers, not here.
 Evaluation cost is O(o * d^2): one matrix-vector product per component.
+
+One kernel evaluates any number of points over the stacked components.  It
+applies to every (point, component) pair the same floating-point operations
+as evaluating that component alone, so a point's value is the same bits
+whatever batch it is evaluated in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .rotation import ThetaSpec, orthogonality_error, rotation_from_theta
-from .transform import TransformParams, apply_transform
+from .transform import TransformParams, modulate
+from .transform import apply_transform  # noqa: F401  (still importable from gnbg.core)
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -93,17 +100,93 @@ class Component:
         return self.rotation is not None
 
 
+def _selector(indices: list[int]):
+    """A slice (a view, no copy) when ``indices`` is a contiguous run, else an
+    index array; None when empty."""
+    if not indices:
+        return None
+    if indices == list(range(indices[0], indices[-1] + 1)):
+        return slice(indices[0], indices[-1] + 1)
+    return np.array(indices)
+
+
+class _Kernel:
+    """The components of one problem, stacked and precomputed for evaluation.
+
+    Rotations are kept for rotated components only, transform parameters for
+    non-identity transforms only, and exponents for lambda != 1 only; the
+    skipped steps are exact identities.  Built once per instance, on first
+    use, and never serialized.
+    """
+
+    def __init__(self, components: tuple[Component, ...]):
+        self.dim = components[0].dim
+        self.centers = np.stack([c.center for c in components])
+        self.h = np.stack([c.h_diag for c in components])
+        self.sigma = np.array([c.sigma for c in components])
+        self.single = len(components) == 1
+        rotated = [k for k, c in enumerate(components) if c.rotation is not None]
+        self.rotated = _selector(rotated)
+        self.rotations = np.stack([components[k].rotation for k in rotated]) if rotated else None
+        transformed = [k for k, c in enumerate(components) if not c.transform.is_identity]
+        self.transformed = _selector(transformed)
+        if len(transformed) == 1:
+            params = components[transformed[0]].transform
+            self.mu, self.omega = params.mu, params.omega
+        else:  # (t, 1) columns that broadcast against the (n, t, d) transform input
+            params = [components[k].transform for k in transformed]
+            table = np.array([p.mu + p.omega for p in params]).reshape(-1, 6).T[:, :, None]
+            self.mu, self.omega = tuple(table[:2]), tuple(table[2:])
+        # Python floats: float ** float is the C library's pow, which numpy's
+        # vectorized power does not match to the last bit on every host
+        self.powered = [(k, c.lam) for k, c in enumerate(components) if c.lam != 1.0]
+        self.optimum_index = int(np.argmin(self.sigma))  # lowest index on ties
+        self.optimum_value = components[self.optimum_index].sigma
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        """Values of the rows of the float array ``X`` of shape (n, d)."""
+        Z = X[:, None, :] - self.centers  # (n, o, d): z = x - m per pair
+        r = self.rotated
+        if r is not None:
+            # one matrix-vector product per pair, as R @ z for one point
+            Z[:, r] = np.matmul(self.rotations, Z[:, r, :, None])[..., 0]
+        if not np.isfinite(Z).all():
+            raise ValueError("transform input must be finite")
+        t = self.transformed
+        if t is not None:
+            Z[:, t] = modulate(Z[:, t], self.mu, self.omega)
+        # one dot product per pair, as np.dot(t * h, t) for one point
+        Q = np.matmul((Z * self.h)[:, :, None, :], Z[:, :, :, None])[:, :, 0, 0]
+        for k, lam in self.powered:
+            Q[:, k] = [q**lam for q in Q[:, k].tolist()]
+        F = Q + self.sigma
+        return F[:, 0] if self.single else F.min(axis=1)
+
+    def one(self, x: np.ndarray) -> float:
+        """Value at the float vector ``x`` of shape (d,).
+
+        A single component takes the same steps on the vector itself, which
+        skips the cost of the stacked axes on the hot path of optimizers
+        that evaluate one point at a time.
+        """
+        if not self.single:
+            return float(self(x[None])[0])
+        z = x - self.centers[0]
+        if self.rotated is not None:
+            z = self.rotations[0] @ z
+        if not np.isfinite(z).all():
+            raise ValueError("transform input must be finite")
+        if self.transformed is not None:
+            z = modulate(z, self.mu, self.omega)
+        q = float(np.dot(z * self.h[0], z))
+        for _, lam in self.powered:
+            q = q**lam
+        return self.optimum_value + q  # the one component's sigma
+
+
 def eval_component(comp: Component, x: np.ndarray) -> float:
     """Value of one component at ``x``; always >= the component's floor."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (comp.dim,):
-        raise ValueError(f"x must have shape ({comp.dim},), got {x.shape}")
-    z = x - comp.center
-    if comp.rotation is not None:
-        z = comp.rotation @ z
-    t = apply_transform(z, comp.transform)
-    q = float(np.dot(t * comp.h_diag, t))
-    return comp.sigma + q ** comp.lam
+    return _evaluate_one(_Kernel((comp,)), x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,14 +222,22 @@ class ProblemInstance:
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "components", components)
 
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_kernel", None)  # rebuilt on first use
+        return state
+
+    @cached_property
+    def _kernel(self) -> _Kernel:
+        return _Kernel(self.components)
+
     @property
     def optimum_index(self) -> int:
-        sigmas = [c.sigma for c in self.components]
-        return int(np.argmin(sigmas))  # argmin takes the lowest index on ties
+        return self._kernel.optimum_index
 
     @property
     def optimum_value(self) -> float:
-        return self.components[self.optimum_index].sigma
+        return self._kernel.optimum_value
 
     @property
     def optimum_position(self) -> np.ndarray:
@@ -157,9 +248,39 @@ class ProblemInstance:
         return self.lower, self.upper
 
 
+def _evaluate_one(kernel: _Kernel, x: np.ndarray) -> float:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (kernel.dim,):
+        raise ValueError(f"x must have shape ({kernel.dim},), got {x.shape}")
+    return kernel.one(x)
+
+
 def evaluate(instance: ProblemInstance, x: np.ndarray) -> float:
-    """Objective value: minimum over all components."""
-    return min(eval_component(c, x) for c in instance.components)
+    """Objective value: minimum over all components.  The n = 1 case of
+    ``evaluate_batch``, with the same bits."""
+    return _evaluate_one(instance._kernel, x)
+
+
+# (rows x components x d) elements per kernel call: bounds the size of its
+# temporaries, so a large batch does not raise peak memory
+_BLOCK_ELEMENTS = 2**14
+
+
+def evaluate_batch(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
+    """Objective values of the rows of ``X`` (shape (n, d)) as an (n,) array.
+
+    Row-exact: ``evaluate_batch(instance, X)[i] == evaluate(instance, X[i])``
+    bit for bit.
+    """
+    X = np.asarray(X, dtype=float)
+    d = instance.dim
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"X must have shape (n, {d}), got {X.shape}")
+    kernel = instance._kernel
+    rows = max(1, _BLOCK_ELEMENTS // kernel.centers.size)
+    if len(X) <= rows:
+        return kernel(X)
+    return np.concatenate([kernel(X[a:a + rows]) for a in range(0, len(X), rows)])
 
 
 def dominated_components(instance: ProblemInstance, tol: float | None = None) -> list[int]:
@@ -169,12 +290,13 @@ def dominated_components(instance: ProblemInstance, tol: float | None = None) ->
     its own center: f(m_k) < sigma_k - tol.  Dominated components add cost
     but no landscape structure.
     """
+    if tol is not None and tol < 0:
+        raise ValueError("tol must be >= 0")
+    at_centers = evaluate_batch(instance, instance._kernel.centers).tolist()
     out = []
     for k, comp in enumerate(instance.components):
         t = tol if tol is not None else 1e-12 * max(1.0, abs(comp.sigma))
-        if t < 0:
-            raise ValueError("tol must be >= 0")
-        if evaluate(instance, comp.center) < comp.sigma - t:
+        if at_centers[k] < comp.sigma - t:
             out.append(k)
     return out
 
@@ -270,6 +392,42 @@ class BudgetedEvaluator:
             self.best_position = np.array(x, dtype=float)
             self.history.append((self.fe_used, self.best_error))
         return value
+
+    def batch(
+        self,
+        X: np.ndarray,
+        threshold: float | None = None,
+        stop_below: float | None = None,
+    ) -> np.ndarray:
+        """Evaluate the rows of ``X`` as that many successive calls would, in
+        one kernel call, and return the values of the rows charged.
+
+        Charging stops after the row that uses up the budget, after the row
+        that brings ``best_error`` to ``threshold`` or below, and after the
+        first row whose value is below ``stop_below``.  Rows past the
+        remaining budget are not evaluated; rows past a stop are evaluated
+        but neither charged nor recorded.
+        """
+        if self.fe_used >= self.max_fe:
+            raise BudgetExhaustedError(
+                f"evaluation budget of {self.max_fe} exhausted"
+            )
+        X = np.asarray(X, dtype=float)[: self.max_fe - self.fe_used]
+        values = evaluate_batch(self.instance, X)
+        optimum = self.instance.optimum_value
+        best = self.best_value
+        stop_error = -np.inf if threshold is None else threshold
+        stop_value = -np.inf if stop_below is None else stop_below
+        for j, value in enumerate(values.tolist()):
+            if value < best:
+                best = self.best_value = value
+                self.best_position = X[j].copy()
+                self.history.append((self.fe_used + j + 1, best - optimum))
+            if best - optimum <= stop_error or value < stop_value:
+                values = values[: j + 1]
+                break
+        self.fe_used += len(values)
+        return values
 
     def error_at(self, fe: int) -> float:
         """Best-so-far error after ``fe`` evaluations (staircase lookup)."""

@@ -41,6 +41,8 @@ class ExperimentSpec:
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         ms = tuple(int(m) for m in self.milestones)
+        if any(m < 1 for m in ms):
+            raise ValueError("milestones must be >= 1")
         if any(m > self.budget for m in ms):
             raise ValueError("milestones must not exceed the budget")
         if any(b <= a for a, b in zip(ms, ms[1:])):

@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .core import Component, ProblemInstance
+from .core import Component, ProblemInstance, evaluate_batch
 from .harness import ExperimentReport
 from .rotation import ThetaSpec
 from .transform import TransformParams
@@ -184,18 +184,12 @@ def export_grid(
     fixed = np.asarray(fixed, dtype=float)
     if fixed.shape != (d,):
         raise ValueError(f"fixed must have shape ({d},)")
-    from .core import evaluate
-
     xi = np.linspace(instance.lower[i], instance.upper[i], resolution)
     xj = np.linspace(instance.lower[j], instance.upper[j], resolution)
-    values = []
-    x = fixed.copy()
-    for a in xi:
-        row = []
-        for b in xj:
-            x[i], x[j] = a, b
-            row.append(evaluate(instance, x))
-        values.append(row)
+    points = np.tile(fixed, (resolution * resolution, 1))
+    points[:, i] = np.repeat(xi, resolution)
+    points[:, j] = np.tile(xj, resolution)
+    values = evaluate_batch(instance, points).reshape(resolution, resolution).tolist()
     return {
         "format_version": GRID_FORMAT_VERSION,
         "axis": [int(i), int(j)],

@@ -66,6 +66,9 @@ class _StopSearch(Exception):
 
 
 def _make_tracked(evaluator: BudgetedEvaluator, threshold: float):
+    """One-point and many-point evaluation that raise _StopSearch once the
+    run is over: at the threshold, or with the budget used up."""
+
     def tracked(x: np.ndarray) -> float:
         try:
             value = evaluator(x)
@@ -75,7 +78,16 @@ def _make_tracked(evaluator: BudgetedEvaluator, threshold: float):
             raise _StopSearch
         return value
 
-    return tracked
+    def tracked_rows(X: np.ndarray, stop_below: float | None = None) -> np.ndarray:
+        try:
+            values = evaluator.batch(X, threshold, stop_below)
+        except BudgetExhaustedError:
+            raise _StopSearch from None
+        if evaluator.best_error <= threshold or evaluator.fe_used >= evaluator.max_fe:
+            raise _StopSearch
+        return values
+
+    return tracked, tracked_rows
 
 
 def _finish(evaluator, threshold, milestones) -> RunResult:
@@ -95,10 +107,6 @@ def _finish(evaluator, threshold, milestones) -> RunResult:
     )
 
 
-def _clamp(x, lower, upper):
-    return np.clip(x, lower, upper)
-
-
 def pattern_search(
     evaluator: BudgetedEvaluator,
     cfg: OptimizerConfig,
@@ -110,32 +118,28 @@ def pattern_search(
     Polls the 2d directions +-e_i in a freshly randomized order each
     iteration, moves on the first improvement, contracts the mesh after a
     fully failed poll and re-expands it (capped at the initial size) after
-    a success.
+    a success.  A poll's points are evaluated in one batch; FEs are charged
+    in poll order up to the first improvement only.
     """
     rng = np.random.default_rng(cfg.seed)
     lower, upper = evaluator.instance.bounds
     d = evaluator.instance.dim
-    tracked = _make_tracked(evaluator, threshold)
+    tracked, tracked_rows = _make_tracked(evaluator, threshold)
 
     initial_mesh = cfg.initial_mesh_fraction * (upper - lower)
     mesh = initial_mesh.copy()
+    rows = np.arange(2 * d)
     try:
         x = rng.uniform(lower, upper)
         fx = tracked(x)
         while True:
-            improved = False
-            for k in rng.permutation(2 * d):
-                i, sign = divmod(int(k), 2)
-                step = mesh[i] if sign == 0 else -mesh[i]
-                cand = x.copy()
-                cand[i] += step
-                cand = _clamp(cand, lower, upper)
-                fc = tracked(cand)
-                if fc < fx:
-                    x, fx = cand, fc
-                    improved = True
-                    break
-            if improved:
+            axis, sign = np.divmod(rng.permutation(2 * d), 2)
+            polls = np.repeat(x[None, :], 2 * d, axis=0)
+            polls[rows, axis] += np.where(sign == 0, mesh[axis], -mesh[axis])
+            polls = np.clip(polls, lower, upper, out=polls)
+            values = tracked_rows(polls, stop_below=fx)
+            if values[-1] < fx:
+                x, fx = polls[len(values) - 1], float(values[-1])
                 mesh = np.minimum(mesh * cfg.expand, initial_mesh)
             else:
                 mesh = mesh * cfg.contract
@@ -154,7 +158,8 @@ def pso(
 
     v <- chi * (v + c1 r1 (pbest - x) + c2 r2 (gbest - x)), element-wise
     uniform r1, r2.  Uniform init in the box, zero initial velocity, no
-    velocity clamp; positions are clamped to the box.
+    velocity clamp; positions are clamped to the box.  The initial swarm is
+    evaluated in one batch, every later position on its own.
     """
     if cfg.population > evaluator.max_fe:
         raise ValueError(
@@ -164,15 +169,13 @@ def pso(
     lower, upper = evaluator.instance.bounds
     d = evaluator.instance.dim
     n = cfg.population
-    tracked = _make_tracked(evaluator, threshold)
+    tracked, tracked_rows = _make_tracked(evaluator, threshold)
 
     pos = rng.uniform(lower, upper, size=(n, d))
     vel = np.zeros((n, d))
     pbest = pos.copy()
-    pbest_val = np.empty(n)
     try:
-        for i in range(n):
-            pbest_val[i] = tracked(pos[i])
+        pbest_val = tracked_rows(pos)
         g = int(np.argmin(pbest_val))
         while True:
             for i in range(n):
@@ -183,7 +186,7 @@ def pso(
                     + cfg.c1 * r1 * (pbest[i] - pos[i])
                     + cfg.c2 * r2 * (pbest[g] - pos[i])
                 )
-                pos[i] = _clamp(pos[i] + vel[i], lower, upper)
+                pos[i] = np.clip(pos[i] + vel[i], lower, upper)
                 value = tracked(pos[i])
                 if value < pbest_val[i]:
                     pbest_val[i] = value
@@ -205,7 +208,8 @@ def de(
 
     Mutant = x_r1 + F (x_r2 - x_r3) with distinct donors excluding the
     target; binomial crossover at rate Cr with one forced coordinate;
-    greedy one-to-one selection.
+    greedy one-to-one selection.  Each generation's trials are evaluated
+    in one batch.
     """
     if cfg.population < 4:
         raise ValueError(f"population must be >= 4 for DE, got {cfg.population}")
@@ -213,27 +217,27 @@ def de(
     lower, upper = evaluator.instance.bounds
     d = evaluator.instance.dim
     n = cfg.population
-    tracked = _make_tracked(evaluator, threshold)
+    _, tracked_rows = _make_tracked(evaluator, threshold)
 
     pop = rng.uniform(lower, upper, size=(n, d))
-    values = np.empty(n)
+    donors = np.empty((n, 3), dtype=np.intp)
+    cross = np.empty((n, d), dtype=bool)
     try:
-        for i in range(n):
-            values[i] = tracked(pop[i])
+        values = tracked_rows(pop)
         while True:
-            trials = np.empty((n, d))
             for i in range(n):
-                others = np.delete(np.arange(n), i)
-                r1, r2, r3 = rng.choice(others, size=3, replace=False)
-                mutant = pop[r1] + cfg.f_weight * (pop[r2] - pop[r3])
-                cross = rng.uniform(size=d) < cfg.cr
-                cross[int(rng.integers(d))] = True
-                trials[i] = _clamp(np.where(cross, mutant, pop[i]), lower, upper)
-            for i in range(n):
-                value = tracked(trials[i])
-                if value <= values[i]:
-                    values[i] = value
-                    pop[i] = trials[i]
+                # three distinct indices other than i, drawn as from the n - 1 others
+                r = rng.choice(n - 1, size=3, replace=False)
+                donors[i] = r + (r >= i)
+                cross[i] = rng.uniform(size=d) < cfg.cr
+                cross[i, int(rng.integers(d))] = True
+            r1, r2, r3 = donors.T
+            mutants = pop[r1] + cfg.f_weight * (pop[r2] - pop[r3])
+            trials = np.clip(np.where(cross, mutants, pop), lower, upper)
+            trial_values = tracked_rows(trials)
+            better = trial_values <= values
+            values[better] = trial_values[better]
+            pop[better] = trials[better]
     except _StopSearch:
         pass
     return _finish(evaluator, threshold, milestones)

@@ -55,6 +55,34 @@ class TransformParams:
         return (mu1 > 0 and (w1 > 0 or w2 > 0)) or (mu2 > 0 and (w3 > 0 or w4 > 0))
 
 
+def modulate(a: np.ndarray, mu, omega) -> np.ndarray:
+    """The transform of finite ``a``, as a new array.
+
+    ``mu = (mu1, mu2)`` and ``omega = (w1, w2, w3, w4)`` hold floats or
+    arrays that broadcast against ``a``, so one call can transform the
+    stacked vectors of many components, each with its own parameters.  Each
+    element takes the same operations as it would alone, so its value does
+    not depend on what else is in the call.
+    """
+    # in-place steps keep the number of live temporaries small
+    la = np.abs(a)
+    active = la >= _TINY
+    positive = a > 0
+    la[~active] = 1.0  # inactive elements pass through unchanged below
+    np.log(la, out=la)
+    wa = np.where(positive, omega[0], omega[2])
+    wa *= la
+    np.sin(wa, out=wa)
+    wb = np.where(positive, omega[1], omega[3])
+    wb *= la
+    wa += np.sin(wb, out=wb)
+    v = np.where(positive, mu[0], mu[1])
+    v *= wa
+    v += la
+    np.exp(v, out=v)
+    return np.where(active, np.copysign(v, a, out=v), a)
+
+
 def apply_transform(a: np.ndarray, params: TransformParams) -> np.ndarray:
     """Apply the modulation element-wise; output has the sign of the input."""
     a = np.asarray(a, dtype=float)
@@ -62,17 +90,4 @@ def apply_transform(a: np.ndarray, params: TransformParams) -> np.ndarray:
         raise ValueError("transform input must be finite")
     if params.is_identity:
         return a.copy()
-
-    mu1, mu2 = params.mu
-    w1, w2, w3, w4 = params.omega
-    out = a.copy()
-    mag = np.abs(a)
-    pos = a >= _TINY
-    neg = a <= -_TINY
-    if np.any(pos):
-        la = np.log(mag[pos])
-        out[pos] = np.exp(la + mu1 * (np.sin(w1 * la) + np.sin(w2 * la)))
-    if np.any(neg):
-        la = np.log(mag[neg])
-        out[neg] = -np.exp(la + mu2 * (np.sin(w3 * la) + np.sin(w4 * la)))
-    return out
+    return modulate(a, params.mu, params.omega)

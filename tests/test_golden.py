@@ -1,0 +1,119 @@
+"""Golden corpus: stored instance hashes, evaluation values and short
+optimizer runs, compared exactly.
+
+The corpus pins behaviour to stored bits, so a refactor that changes any
+instance byte, any evaluation bit, any RNG draw or any FE charge fails here.
+A golden value may change only with a stated reason.  Regenerate with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import hashlib
+import json
+import pathlib
+import sys
+
+import numpy as np
+import pytest
+
+from gnbg.core import BudgetedEvaluator, evaluate
+from gnbg.generators import SUITE_SIZE, suite_instance
+from gnbg.instance_io import dump_instance
+from gnbg.optimizers import DEFAULT_THRESHOLD, OptimizerConfig, run_optimizer
+
+CORPUS = pathlib.Path(__file__).parent / "golden" / "corpus.json"
+
+INSTANCE_SEEDS = (0, 11)
+POINTS = 64
+RUN_FUNCTIONS = (1, 2, 9, 16, 24)
+RUN_KINDS = ("ps", "pso", "de")
+RUN_BUDGET = 2_000
+RUN_MILESTONES = (500, 1_000, 2_000)
+RUN_SEED = 3
+# thresholds each run reaches part-way through its budget, so the stop at
+# the threshold FE (mid-poll, mid-swarm, mid-generation) is pinned too
+THRESHOLD_RUNS = (
+    (1, "ps", 1e3), (1, "pso", 2e4), (1, "de", 6e4),
+    (24, "ps", 225.0), (24, "pso", 190.0), (24, "de", 200.0),
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def fixed_points(instance, k: int, s: int) -> np.ndarray:
+    """The optimum, points near every component center at scales 1 .. 1e-7,
+    and uniform points in the box; fixed by (k, s)."""
+    rng = np.random.default_rng([k, s, POINTS])
+    d, comps = instance.dim, instance.components
+    near = [
+        comps[j % len(comps)].center + 10.0 ** -(j % 8) * rng.standard_normal(d)
+        for j in range(16)
+    ]
+    uniform = rng.uniform(instance.lower, instance.upper, size=(POINTS - 17, d))
+    return np.vstack([instance.optimum_position[None, :], near, uniform])
+
+
+def instance_record(k: int, s: int) -> dict:
+    instance = suite_instance(k, s)
+    points = fixed_points(instance, k, s)
+    return {
+        "sha256": _sha(dump_instance(instance).encode()),
+        "points_sha256": _sha(points.tobytes()),
+        "values": [float(evaluate(instance, x)).hex() for x in points],
+    }
+
+
+def run_record(k: int, kind: str, threshold: float = DEFAULT_THRESHOLD) -> dict:
+    evaluator = BudgetedEvaluator(suite_instance(k, 0), RUN_BUDGET)
+    cfg = OptimizerConfig(kind=kind, seed=RUN_SEED)
+    result = run_optimizer(evaluator, cfg, threshold, RUN_MILESTONES)
+    history = ";".join(f"{fe}:{float(err).hex()}" for fe, err in evaluator.history)
+    return {
+        "best_value": float(result.best_value).hex(),
+        "best_error": float(result.best_error).hex(),
+        "best_position_sha256": _sha(np.asarray(result.best_position, dtype=float).tobytes()),
+        "fe_used": result.fe_used,
+        "fe_to_success": result.fe_to_success,
+        "success": result.success,
+        "milestone_errors": {str(m): float(e).hex() for m, e in result.milestone_errors.items()},
+        "history_len": len(evaluator.history),
+        "history_sha256": _sha(history.encode()),
+    }
+
+
+INSTANCE_KEYS = [(k, s) for s in INSTANCE_SEEDS for k in range(1, SUITE_SIZE + 1)]
+RUN_KEYS = [(k, kind, DEFAULT_THRESHOLD) for k in RUN_FUNCTIONS for kind in RUN_KINDS]
+RUN_KEYS += list(THRESHOLD_RUNS)
+
+
+def build_corpus() -> dict:
+    return {
+        "instances": {f"f{k}/s{s}": instance_record(k, s) for k, s in INSTANCE_KEYS},
+        "runs": {f"f{k}/{kind}/{t!r}": run_record(k, kind, t) for k, kind, t in RUN_KEYS},
+    }
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return json.loads(CORPUS.read_text())
+
+
+@pytest.mark.parametrize("k,s", INSTANCE_KEYS, ids=[f"f{k}-s{s}" for k, s in INSTANCE_KEYS])
+def test_instance_and_values(corpus, k, s):
+    assert instance_record(k, s) == corpus["instances"][f"f{k}/s{s}"]
+
+
+@pytest.mark.parametrize(
+    "k,kind,threshold", RUN_KEYS, ids=[f"f{k}-{kind}-{t!r}" for k, kind, t in RUN_KEYS]
+)
+def test_run(corpus, k, kind, threshold):
+    assert run_record(k, kind, threshold) == corpus["runs"][f"f{k}/{kind}/{threshold!r}"]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text(json.dumps(build_corpus(), indent=1, sort_keys=True) + "\n")

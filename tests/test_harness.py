@@ -30,6 +30,11 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             _spec(milestones=(10_000, 10_000), budget=30_000)
 
+    @pytest.mark.parametrize("milestones", [(0, 10_000), (-5, 10_000)])
+    def test_nonpositive_milestone_rejected(self, milestones):
+        with pytest.raises(ValueError, match="milestones must be >= 1"):
+            _spec(milestones=milestones)
+
     def test_zero_runs_rejected(self):
         with pytest.raises(ValueError):
             _spec(runs=0)

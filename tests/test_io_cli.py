@@ -108,6 +108,17 @@ class TestExportGrid:
         assert doc["values"][0][0] == 20000.0  # f(-100, -100)
         assert doc["values"][2][2] == 20000.0
 
+    def test_batch_grid_equals_pointwise(self):
+        inst = suite_instance(22, seed=0)
+        fixed = np.random.default_rng(0).uniform(-100, 100, inst.dim)
+        doc = export_grid(inst, 3, 7, 9, fixed)
+        xi = np.linspace(-100, 100, 9)
+        x = fixed.copy()
+        for r, a in enumerate(xi):
+            for c, b in enumerate(xi):
+                x[3], x[7] = a, b
+                assert doc["values"][r][c] == evaluate(inst, x)
+
     def test_center_node_hits_sigma(self):
         doc = export_grid(_sphere_2d(), 0, 1, 3, np.zeros(2))
         assert doc["values"][1][1] == 0.0
@@ -219,6 +230,27 @@ class TestCli:
 
     def test_missing_required_flag_is_usage_error(self, capsys):
         assert main(["classify"]) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--milestones", "10,x"],
+        ["--milestones", "0.5"],
+    ])
+    def test_malformed_milestones_are_usage_error(self, flags, capsys):
+        argv = ["run", "--suite", "1", "--optimizer", "ps", "--runs", "1", "--budget", "20"]
+        assert main(argv + flags) == 1
+        assert "--milestones" in capsys.readouterr().err
+
+    def test_malformed_values_are_usage_error(self, capsys):
+        assert main(["sweep", "--scenario", "linearity", "--values", "0.5,x",
+                     "--optimizer", "ps", "--runs", "1", "--budget", "20"]) == 1
+        assert "--values" in capsys.readouterr().err
+
+    def test_zero_milestone_is_rejected(self, capsys):
+        assert main(["run", "--suite", "1", "--optimizer", "ps", "--runs", "1",
+                     "--budget", "20", "--milestones", "0,10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "milestones must be >= 1" in captured.err
 
     def test_bad_instance_file_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.gnbg.json"
