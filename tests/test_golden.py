@@ -17,13 +17,22 @@ import numpy as np
 import pytest
 
 from gnbg.core import BudgetedEvaluator, evaluate
-from gnbg.generators import SUITE_SIZE, suite_instance
+from gnbg.generators import (
+    SUITE_SIZE,
+    ScenarioConfig,
+    gen_conditioning,
+    gen_interaction,
+    gen_linearity,
+    gen_multicomponent,
+    gen_multimodal,
+    suite_instance,
+)
 from gnbg.instance_io import dump_instance
 from gnbg.optimizers import DEFAULT_THRESHOLD, OptimizerConfig, run_optimizer
 
 CORPUS = pathlib.Path(__file__).parent / "golden" / "corpus.json"
 
-INSTANCE_SEEDS = (0, 11)
+INSTANCE_SEEDS = (0, 11, 2**40 + 3)  # the last needs the 64-bit seed mask
 POINTS = 64
 RUN_FUNCTIONS = (1, 2, 9, 16, 24)
 RUN_KINDS = ("ps", "pso", "de")
@@ -36,6 +45,19 @@ THRESHOLD_RUNS = (
     (1, "ps", 1e3), (1, "pso", 2e4), (1, "de", 6e4),
     (24, "ps", 225.0), (24, "pso", 190.0), (24, "de", 200.0),
 )
+SCENARIO_CFG = ScenarioConfig(seed=7)
+SCENARIOS = {
+    "linearity/0.1": lambda cfg: gen_linearity(0.1, cfg),
+    "linearity/1.5": lambda cfg: gen_linearity(1.5, cfg),
+    "conditioning/1000.0": lambda cfg: gen_conditioning(1e3, cfg=cfg),
+    "conditioning/1000000.0": lambda cfg: gen_conditioning(1e6, (0.2, 0.2), cfg),
+    "interaction/0.3": lambda cfg: gen_interaction(p_prob=0.3, cfg=cfg),
+    "interaction/angle-0.7": lambda cfg: gen_interaction(fixed_angle=0.7, cfg=cfg),
+    "multimodal/0.2-20.0": lambda cfg: gen_multimodal(0.2, 20.0, cfg),
+    "multimodal/0.5-50.0": lambda cfg: gen_multimodal(0.5, 50.0, cfg),
+    "multicomponent/3": lambda cfg: gen_multicomponent(3, cfg),
+    "multicomponent/10": lambda cfg: gen_multicomponent(10, cfg, center_range=(-50.0, 50.0)),
+}
 
 
 def _sha(data: bytes) -> str:
@@ -65,6 +87,10 @@ def instance_record(k: int, s: int) -> dict:
     }
 
 
+def scenario_record(name: str) -> str:
+    return _sha(dump_instance(SCENARIOS[name](SCENARIO_CFG)).encode())
+
+
 def run_record(k: int, kind: str, threshold: float = DEFAULT_THRESHOLD) -> dict:
     evaluator = BudgetedEvaluator(suite_instance(k, 0), RUN_BUDGET)
     cfg = OptimizerConfig(kind=kind, seed=RUN_SEED)
@@ -92,6 +118,7 @@ def build_corpus() -> dict:
     return {
         "instances": {f"f{k}/s{s}": instance_record(k, s) for k, s in INSTANCE_KEYS},
         "runs": {f"f{k}/{kind}/{t!r}": run_record(k, kind, t) for k, kind, t in RUN_KEYS},
+        "scenarios": {name: scenario_record(name) for name in SCENARIOS},
     }
 
 
@@ -110,6 +137,11 @@ def test_instance_and_values(corpus, k, s):
 )
 def test_run(corpus, k, kind, threshold):
     assert run_record(k, kind, threshold) == corpus["runs"][f"f{k}/{kind}/{threshold!r}"]
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_scenario_instance(corpus, name):
+    assert scenario_record(name) == corpus["scenarios"][name]
 
 
 if __name__ == "__main__":

@@ -6,9 +6,11 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from test_kernel import random_instances
 
 from gnbg.cli import main
-from gnbg.core import Component, ProblemInstance, evaluate
+from gnbg.core import Component, ProblemInstance, evaluate, evaluate_batch
 from gnbg.generators import ScenarioConfig, gen_linearity, suite_instance
 from gnbg.harness import ExperimentSpec, run_experiment
 from gnbg.instance_io import (
@@ -62,6 +64,15 @@ class TestRoundTrip:
         again = load_instance(dump_instance(inst))
         x = np.full(30, 7.5)
         assert evaluate(again, x) == evaluate(inst, x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(random_instances())
+    def test_reserializes_to_identical_bytes(self, case):
+        inst, X = case
+        text = dump_instance(inst)
+        again = load_instance(text)
+        assert dump_instance(again) == text
+        assert np.array_equal(evaluate_batch(again, X), evaluate_batch(inst, X))
 
     def test_documents_satisfy_schema(self):
         schema = _schema("instance.schema.json")

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnbg.rotation import (
+    ORTHOGONALITY_TOL,
     ThetaSpec,
     full_theta,
     givens,
@@ -83,6 +86,24 @@ class TestRotationFromTheta:
     def test_deterministic_given_spec(self):
         spec = random_theta(10, 0.5, (-np.pi, np.pi), np.random.default_rng(3))
         assert np.array_equal(rotation_from_theta(spec), rotation_from_theta(spec))
+
+
+@st.composite
+def theta_specs(draw):
+    d = draw(st.integers(1, 6))
+    pairs = [(p, q) for p in range(1, d + 1) for q in range(p + 1, d + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    angles = st.floats(-np.pi, np.pi)
+    return ThetaSpec.from_triples(d, [(p, q, draw(angles)) for p, q in chosen])
+
+
+class TestRotationProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(theta_specs())
+    def test_orthogonal_proper_rotation(self, spec):
+        r = rotation_from_theta(spec)
+        assert orthogonality_error(r) <= ORTHOGONALITY_TOL
+        assert abs(np.linalg.det(r) - 1.0) <= 1e-12
 
 
 class TestRandomTheta:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnbg.transform import TransformParams, apply_transform
 
@@ -93,3 +95,17 @@ class TestApplyTransform:
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError):
             apply_transform(np.array([np.inf]), TransformParams())
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        mu=st.tuples(*[st.floats(0.0, 2.0)] * 2),
+        omega=st.tuples(*[st.floats(0.0, 100.0)] * 4),
+        a=st.lists(st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0]), min_size=1, max_size=20),
+    )
+    def test_sign_preserved_and_zero_fixed(self, mu, omega, a):
+        a = np.array(a)
+        out = apply_transform(a, TransformParams(mu, omega))
+        assert np.array_equal(np.sign(out), np.sign(a))
+        assert np.all(out[a == 0.0] == 0.0)
