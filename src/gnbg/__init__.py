@@ -11,7 +11,6 @@ from .core import (
     eval_component,
     evaluate,
     evaluate_batch,
-    tracked_evaluate,
 )
 from .generators import (
     ScenarioConfig,
@@ -32,7 +31,7 @@ from .instance_io import (
     serialize_instance,
 )
 from .optimizers import OptimizerConfig, RunResult, de, pattern_search, pso, run_optimizer
-from .rotation import ThetaSpec, givens, orthogonality_error, random_theta, rotation_from_theta
+from .rotation import ThetaSpec, orthogonality_error, random_theta, rotation_from_theta
 from .transform import TransformParams, apply_transform
 
 __version__ = "0.1.0"
@@ -64,7 +63,6 @@ __all__ = [
     "gen_linearity",
     "gen_multicomponent",
     "gen_multimodal",
-    "givens",
     "load_instance",
     "orthogonality_error",
     "parse_instance",
@@ -77,5 +75,4 @@ __all__ = [
     "serialize_instance",
     "suite_instance",
     "sweep",
-    "tracked_evaluate",
 ]

@@ -97,25 +97,22 @@ def _number_list(flag: str, raw: str, kind) -> list:
         raise _UsageError(f"{flag} must be a comma-separated list, got {raw!r}") from None
 
 
+# --scenario name -> instance at one knob value
+_SCENARIOS = {
+    "linearity": lambda value, cfg, args: generators.gen_linearity(value, cfg),
+    "conditioning": lambda value, cfg, args: generators.gen_conditioning(value, cfg=cfg),
+    "interaction": lambda value, cfg, args: generators.gen_interaction(p_prob=value, cfg=cfg),
+    "multimodal": lambda value, cfg, args: generators.gen_multimodal(value, args.omega, cfg),
+    "multicomponent": lambda value, cfg, args: generators.gen_multicomponent(int(value), cfg),
+}
+
+
 def _scenario_instance(name: str, value: float, args) -> "generators.ProblemInstance":
-    cfg = ScenarioConfig(dim=args.dim, seed=args.seed)
-    if name == "linearity":
-        return generators.gen_linearity(value, cfg)
-    if name == "conditioning":
-        return generators.gen_conditioning(value, cfg=cfg)
-    if name == "interaction":
-        return generators.gen_interaction(p_prob=value, cfg=cfg)
-    if name == "multimodal":
-        return generators.gen_multimodal(value, args.omega, cfg)
-    if name == "multicomponent":
-        return generators.gen_multicomponent(int(value), cfg)
-    raise _UsageError(f"unknown scenario {name!r}")
+    return _SCENARIOS[name](value, ScenarioConfig(dim=args.dim, seed=args.seed), args)
 
 
 def _add_scenario_flags(p):
-    p.add_argument("--scenario", required=True,
-                   choices=["linearity", "conditioning", "interaction",
-                            "multimodal", "multicomponent"])
+    p.add_argument("--scenario", required=True, choices=list(_SCENARIOS))
     p.add_argument("--dim", type=int, default=generators.DEFAULT_DIM)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--omega", type=float, default=0.0,
@@ -233,6 +230,19 @@ def _milestones(args) -> tuple[int, ...]:
     return tuple(_number_list("--milestones", args.milestones, int))
 
 
+def _spec(args, instance, base_seed: int) -> ExperimentSpec:
+    """The experiment the protocol flags describe."""
+    return ExperimentSpec(
+        instance=instance,
+        optimizer=OptimizerConfig(kind=args.optimizer, population=args.population),
+        runs=args.runs,
+        budget=args.budget,
+        milestones=_milestones(args),
+        threshold=args.threshold,
+        base_seed=base_seed,
+    )
+
+
 def _emit_reports(args, reports) -> None:
     text = csv_report_text(reports)
     if args.csv is not None:
@@ -251,15 +261,7 @@ def _cmd_run(args) -> int:
         instance = _read_instance(args.instance)
     else:
         instance = suite_instance(args.suite, args.instance_seed)
-    spec = ExperimentSpec(
-        instance=instance,
-        optimizer=OptimizerConfig(kind=args.optimizer, population=args.population),
-        runs=args.runs,
-        budget=args.budget,
-        milestones=_milestones(args),
-        threshold=args.threshold,
-        base_seed=_seed_or_env(args),
-    )
+    spec = _spec(args, instance, _seed_or_env(args))
     _emit_reports(args, [run_experiment(spec, workers=args.workers)])
     return EXIT_OK
 
@@ -267,15 +269,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     args.seed = _seed_or_env(args)
     values = _number_list("--values", args.values, float)
-    template = ExperimentSpec(
-        instance=_scenario_instance(args.scenario, values[0], args),
-        optimizer=OptimizerConfig(kind=args.optimizer, population=args.population),
-        runs=args.runs,
-        budget=args.budget,
-        milestones=_milestones(args),
-        threshold=args.threshold,
-        base_seed=args.seed,
-    )
+    template = _spec(args, _scenario_instance(args.scenario, values[0], args), args.seed)
     make = partial(_scenario_instance, args.scenario, args=args)
     _emit_reports(args, sweep(template, values, make, workers=args.workers))
     return EXIT_OK

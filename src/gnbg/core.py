@@ -54,12 +54,16 @@ class Component:
         d = center.shape[0]
         if center.ndim != 1 or d < 1:
             raise ValueError("center must be a nonempty 1-D vector")
+        if not np.all(np.isfinite(center)):
+            raise ValueError("center elements must be finite")
+        if not np.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if h_diag.shape != (d,):
             raise ValueError(f"h_diag must have shape ({d},), got {h_diag.shape}")
         if np.any(h_diag <= 0) or not np.all(np.isfinite(h_diag)):
             raise ValueError("h_diag elements must be finite and strictly positive")
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be > 0, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lambda must be finite and > 0, got {self.lam}")
         rotation = self.rotation
         if rotation is None:
             if self.theta is not None and not self.theta.is_identity():
@@ -71,7 +75,7 @@ class Component:
             if rotation.shape != (d, d):
                 raise ValueError(f"rotation must have shape ({d}, {d})")
             err = orthogonality_error(rotation)
-            if err > 1e-10:
+            if not err <= 1e-10:  # NaN-safe
                 raise ValueError(f"rotation is not orthogonal (error {err:.3e})")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "h_diag", h_diag)
@@ -163,12 +167,15 @@ class _Kernel:
         return F[:, 0] if self.single else F.min(axis=1)
 
     def one(self, x: np.ndarray) -> float:
-        """Value at the float vector ``x`` of shape (d,).
+        """Value at the point ``x`` of shape (d,).
 
         A single component takes the same steps on the vector itself, which
         skips the cost of the stacked axes on the hot path of optimizers
         that evaluate one point at a time.
         """
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"x must have shape ({self.dim},), got {x.shape}")
         if not self.single:
             return float(self(x[None])[0])
         z = x - self.centers[0]
@@ -186,7 +193,7 @@ class _Kernel:
 
 def eval_component(comp: Component, x: np.ndarray) -> float:
     """Value of one component at ``x``; always >= the component's floor."""
-    return _evaluate_one(_Kernel((comp,)), x)
+    return _Kernel((comp,)).one(x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,6 +215,8 @@ class ProblemInstance:
         upper = np.asarray(self.upper, dtype=float)
         if lower.shape != (self.dim,) or upper.shape != (self.dim,):
             raise ValueError(f"bounds must have shape ({self.dim},)")
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise ValueError("bounds must be finite")
         if np.any(lower >= upper):
             raise ValueError("require lower < upper in every dimension")
         components = tuple(self.components)
@@ -248,17 +257,10 @@ class ProblemInstance:
         return self.lower, self.upper
 
 
-def _evaluate_one(kernel: _Kernel, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (kernel.dim,):
-        raise ValueError(f"x must have shape ({kernel.dim},), got {x.shape}")
-    return kernel.one(x)
-
-
 def evaluate(instance: ProblemInstance, x: np.ndarray) -> float:
     """Objective value: minimum over all components.  The n = 1 case of
     ``evaluate_batch``, with the same bits."""
-    return _evaluate_one(instance._kernel, x)
+    return instance._kernel.one(x)
 
 
 # (rows x components x d) elements per kernel call: bounds the size of its
@@ -437,7 +439,3 @@ class BudgetedEvaluator:
                 break
             err = e
         return err
-
-
-def tracked_evaluate(evaluator: BudgetedEvaluator, x: np.ndarray) -> float:
-    return evaluator(x)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
 
 import numpy as np
 
@@ -18,7 +20,6 @@ from .transform import TransformParams
 
 DEFAULT_DIM = 30
 DEFAULT_BOUNDS = (-100.0, 100.0)
-SUITE_SIZE = 24
 ANGLE_RANGE = (-np.pi, np.pi)
 
 
@@ -43,13 +44,8 @@ def _stream(seed: int, *labels) -> np.random.Generator:
     return np.random.default_rng(entropy)
 
 
-def _box(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = cfg.bounds
-    return np.full(cfg.dim, lo), np.full(cfg.dim, hi)
-
-
 def _instance(cfg, components, generator, **knobs) -> ProblemInstance:
-    lower, upper = _box(cfg)
+    lower, upper = (np.full(cfg.dim, bound) for bound in cfg.bounds)
     provenance = {"generator": generator, "knobs": knobs, "seed": int(cfg.seed)}
     return ProblemInstance(cfg.dim, lower, upper, tuple(components), provenance)
 
@@ -57,8 +53,6 @@ def _instance(cfg, components, generator, **knobs) -> ProblemInstance:
 def gen_linearity(lam: float, cfg: ScenarioConfig = ScenarioConfig()) -> ProblemInstance:
     """Single centered basin with the given linearity exponent; everything
     else neutral (no scaling, rotation, or local optima)."""
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
     comp = Component(
         center=np.zeros(cfg.dim), sigma=0.0, h_diag=np.ones(cfg.dim), lam=lam
     )
@@ -120,8 +114,6 @@ def gen_multimodal(
 ) -> ProblemInstance:
     """Single symmetric multimodal basin: equal amplitudes and one shared
     frequency, no scaling or rotation."""
-    if mu < 0 or omega < 0:
-        raise ValueError("mu and omega must be >= 0")
     comp = Component(
         center=np.zeros(cfg.dim),
         sigma=0.0,
@@ -167,44 +159,180 @@ def gen_multicomponent(
 
 
 # --- 24-instance suite -------------------------------------------------------
-
-def _permuted_linspace(rng, lo, hi, dim):
-    return rng.permutation(np.linspace(lo, hi, dim))
-
-
-def _chain_theta(dim, rng) -> ThetaSpec:
-    triples = [(i, i + 1, rng.uniform(*ANGLE_RANGE)) for i in range(1, dim)]
-    return ThetaSpec.from_triples(dim, triples)
+#
+# Each entry is one row of parameter values.  A value is a constant, or a
+# draw: a function of the component's _Slot that reads its own labelled
+# stream, so no draw perturbs another and the build order does not matter.
 
 
-def _grouped_theta(dim, group_angles, rng) -> ThetaSpec:
+@dataclass(frozen=True)
+class _Slot:
+    """Component ``k`` of the ``o`` components of a suite entry, whose
+    labelled streams are ``shared(*labels)``."""
+
+    shared: partial
+    k: int
+    o: int
+
+    def own(self, label) -> np.random.Generator:
+        """Stream of this component; a single-component entry's is the
+        entry's own."""
+        return self.shared(label) if self.o == 1 else self.shared(label, self.k)
+
+
+def _value(spec, slot: _Slot):
+    return spec(slot) if callable(spec) else spec
+
+
+def _each(*specs):
+    """Component k takes ``specs[k]``."""
+    return lambda slot: _value(specs[slot.k], slot)
+
+
+def _uniform(label, lo, hi, size=DEFAULT_DIM):
+    return lambda slot: slot.own(label).uniform(lo, hi, size=size)
+
+
+def _beta(label, lo, hi, a, b):
+    """Beta(a, b) draws stretched over [lo, hi]."""
+    return lambda slot: lo + (hi - lo) * slot.own(label).beta(a, b, size=DEFAULT_DIM)
+
+
+def _spread_h(slot):
+    """Evenly spaced scalings from 0.1 to 1e6, randomly assigned to variables."""
+    return slot.own("h").permutation(np.linspace(0.1, 1e6, DEFAULT_DIM))
+
+
+def _with_extremes(draw, lo, hi):
+    """``draw`` with two random positions set to exactly ``lo`` and ``hi``,
+    so the condition number is hi / lo."""
+
+    def extremes(slot):
+        h = draw(slot)
+        first, second = slot.own("h-extremes").permutation(DEFAULT_DIM)[:2]
+        h[first], h[second] = lo, hi
+        return h
+
+    return extremes
+
+
+def _best_then(best, lo, hi):
+    """Component 0 holds the optimum ``best``; the others share one draw of
+    floor values from stream "sigmas"."""
+    return lambda slot: (
+        best if slot.k == 0 else slot.shared("sigmas").uniform(lo, hi, size=slot.o - 1)[slot.k - 1]
+    )
+
+
+def _shared_rows(label, lo, hi):
+    """Row k of one (o, d) uniform draw from the entry's stream ``label``."""
+    return lambda slot: slot.shared(label).uniform(lo, hi, size=(slot.o, DEFAULT_DIM))[slot.k]
+
+
+def _random_theta(p_prob):
+    return lambda slot: random_theta(DEFAULT_DIM, p_prob, ANGLE_RANGE, slot.own("theta"))
+
+
+def _chain_theta(slot) -> ThetaSpec:
+    """Each variable interacts with the next one only."""
+    rng = slot.own("theta")
+    triples = [(i, i + 1, rng.uniform(*ANGLE_RANGE)) for i in range(1, DEFAULT_DIM)]
+    return ThetaSpec.from_triples(DEFAULT_DIM, triples)
+
+
+def _grouped_theta(group_angles):
     """Partition variables into equal random groups, fully connect each
     group internally with its own fixed angle."""
-    n_groups = len(group_angles)
-    if dim % n_groups:
-        raise ValueError(f"dim {dim} not divisible into {n_groups} equal groups")
-    perm = rng.permutation(dim) + 1
-    size = dim // n_groups
-    triples = []
-    for g, angle in enumerate(group_angles):
-        members = sorted(perm[g * size : (g + 1) * size])
-        triples += [
-            (int(members[i]), int(members[j]), angle)
-            for i in range(size)
-            for j in range(i + 1, size)
+    size = DEFAULT_DIM // len(group_angles)
+
+    def grouped(slot):
+        perm = slot.own("theta").permutation(DEFAULT_DIM) + 1
+        triples = [
+            (int(p), int(q), angle)
+            for g, angle in enumerate(group_angles)
+            for p, q in combinations(sorted(perm[g * size : (g + 1) * size]), 2)
         ]
-    return ThetaSpec.from_triples(dim, triples)
+        return ThetaSpec.from_triples(DEFAULT_DIM, triples)
+
+    return grouped
 
 
-def _single_suite_component(fid, seed, dim, lam, transform, h_diag, theta):
-    """Common wiring for the single-component suite entries: random interior
-    center and negative floor value, drawn from streams keyed by entry id."""
-    center = _stream(seed, "suite", fid, "center").uniform(-80.0, 80.0, size=dim)
-    sigma = _stream(seed, "suite", fid, "sigma").uniform(-1200.0, 0.0)
-    return Component(
-        center=center, sigma=sigma, h_diag=h_diag, lam=lam,
-        transform=transform, theta=theta,
-    )
+def _off_center_draw(slot):
+    """Point inside [-90, 90]^d but outside the central [-30, 30]^d cube."""
+    rng = slot.own("centers")
+    while True:
+        x = rng.uniform(-90.0, 90.0, size=DEFAULT_DIM)
+        if np.any(np.abs(x) > 30.0):
+            return x
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """Parameters of one suite entry with ``o`` components.  A scalar
+    ``center`` or ``h`` fills the vector; the defaults are a single
+    component with a random interior center and negative floor value."""
+
+    o: int = 1
+    sigma: object = _uniform("sigma", -1200.0, 0.0, size=None)
+    center: object = _uniform("center", -80.0, 80.0)
+    h: object = 1.0
+    lam: object = 1.0
+    mu: object = (0.0, 0.0)
+    omega: object = (0.0, 0.0, 0.0, 0.0)
+    theta: object = None
+
+
+_ASYMMETRIC = dict(mu=(0.2, 0.5), omega=(20.0, 50.0, 10.0, 25.0))
+_COMPETING = dict(o=5, sigma=_best_then(-5000.0, -4500.0, -4000.0),
+                  center=_shared_rows("centers", -80.0, 80.0))
+_RUGGED = dict(mu=_uniform("mu", 0.2, 0.5, 2), omega=_uniform("omega", 5.0, 50.0, 4))
+_SUITE = (
+    # 1-6: unimodal
+    _Entry(),
+    _Entry(lam=0.05),
+    _Entry(h=_spread_h),
+    _Entry(h=_uniform("h", 1.0, 10.0), theta=_random_theta(1.0)),
+    _Entry(h=_spread_h, lam=0.05, theta=_chain_theta),
+    _Entry(h=_spread_h, lam=0.05, theta=_random_theta(1.0)),
+    # 7-15: multimodal, one component
+    _Entry(mu=(0.2, 0.2), omega=(20.0,) * 4),
+    _Entry(mu=(0.2, 0.2), omega=(50.0,) * 4),
+    _Entry(mu=(1.0, 1.0), omega=(20.0,) * 4),
+    _Entry(**_ASYMMETRIC),
+    _Entry(**_ASYMMETRIC, theta=_random_theta(1.0)),
+    _Entry(**_ASYMMETRIC, theta=_grouped_theta((np.pi / 4, 3 * np.pi / 4, np.pi / 8))),
+    _Entry(mu=(1.0, 1.0), omega=(50.0,) * 4, theta=_random_theta(1.0)),
+    _Entry(h=_with_extremes(_uniform("h", 1.0, 1e3), 0.01, 1e3), lam=0.6,
+           mu=(0.7, 0.2), omega=(25.0, 10.0, 20.0, 50.0), theta=_random_theta(1.0)),
+    _Entry(h=_with_extremes(_beta("h", 1.0, 1e5, 0.2, 0.2), 1.0, 1e5), lam=0.1,
+           mu=(1.0, 1.0), omega=(10.0,) * 4, theta=_random_theta(1.0)),
+    # 16-24: multimodal, competing components
+    _Entry(**_COMPETING),
+    _Entry(**_COMPETING, h=_uniform("h", 0.01, 100.0), theta=_random_theta(0.5)),
+    _Entry(**_COMPETING, **_RUGGED, theta=_random_theta(0.5)),
+    _Entry(**_COMPETING, mu=(0.5, 0.5), omega=_uniform("omega", 50.0, 100.0, 4),
+           theta=_random_theta(0.5)),
+    _Entry(5, _best_then(-100.0, -99.0, -98.0), _shared_rows("centers", -75.0, -25.0),
+           lam=0.25, **_RUGGED, theta=_random_theta(0.5)),
+    _Entry(5, _each(-50.0, -45.0, -40.0, -40.0, -40.0),
+           _each(_off_center_draw, 0.0, _off_center_draw, _off_center_draw, _off_center_draw),
+           h=_each(5.0, 1.0, 5.0, 5.0, 5.0), lam=0.5, mu=_uniform("mu", 0.1, 0.2, 2),
+           omega=_uniform("omega", 5.0, 10.0, 4), theta=_random_theta(0.5)),
+    _Entry(2, _each(-1000.0, -950.0),
+           _each(_uniform("centers", 80.0, 90.0), _uniform("centers", -90.0, -80.0)),
+           h=_uniform("h", 1.0, 10.0), lam=_each(1.0, 0.9),
+           mu=(0.5, 0.5), omega=_uniform("omega", 20.0, 50.0, 4), theta=_random_theta(0.7)),
+    _Entry(5, -100.0, lambda slot: slot.shared("center").uniform(-80.0, 80.0, size=DEFAULT_DIM),
+           lam=0.4, mu=(0.5, 0.5), omega=_uniform("omega", 20.0, 50.0, 4),
+           theta=_random_theta(0.75)),
+    _Entry(5, _best_then(-100.0, -99.0, -98.0), _shared_rows("centers", -80.0, 80.0),
+           h=_uniform("h", 1.0, 1e5), lam=0.25, **_RUGGED, theta=_random_theta(0.75)),
+)
+SUITE_SIZE = len(_SUITE)
+
+
+def _filled(value) -> np.ndarray:
+    return np.full(DEFAULT_DIM, value) if np.ndim(value) == 0 else value
 
 
 def suite_instance(index: int, seed: int = 0) -> ProblemInstance:
@@ -216,197 +344,17 @@ def suite_instance(index: int, seed: int = 0) -> ProblemInstance:
     """
     if not 1 <= index <= SUITE_SIZE:
         raise ValueError(f"suite index must be in [1, {SUITE_SIZE}], got {index}")
-    d = DEFAULT_DIM
-    cfg = ScenarioConfig(dim=d, seed=seed)
-    ident = TransformParams()
-    ones = np.ones(d)
-
-    def srng(*labels):
-        return _stream(seed, "suite", index, *labels)
-
-    def build(components):
-        return _instance(cfg, components, f"suite-f{index}", index=index)
-
-    if index <= 15:
-        lam, transform, h_diag, theta = _suite_single_params(index, d, srng)
-        comp = _single_suite_component(index, seed, d, lam, transform, h_diag, theta)
-        return build([comp])
-
-    if index == 16:
-        sigmas = np.concatenate(
-            [[-5000.0], srng("sigmas").uniform(-4500.0, -4000.0, size=4)]
-        )
-        centers = srng("centers").uniform(-80.0, 80.0, size=(5, d))
-        return build(
-            [Component(centers[k], sigmas[k], ones, lam=1.0) for k in range(5)]
-        )
-
-    if index == 17:
-        sigmas = np.concatenate(
-            [[-5000.0], srng("sigmas").uniform(-4500.0, -4000.0, size=4)]
-        )
-        centers = srng("centers").uniform(-80.0, 80.0, size=(5, d))
-        comps = []
-        for k in range(5):
-            h = srng("h", k).uniform(0.01, 100.0, size=d)
-            theta = random_theta(d, 0.5, ANGLE_RANGE, srng("theta", k))
-            comps.append(Component(centers[k], sigmas[k], h, lam=1.0, theta=theta))
-        return build(comps)
-
-    if index in (18, 19, 20):
-        lam = 0.25 if index == 20 else 1.0
-        if index == 20:
-            centers = srng("centers").uniform(-75.0, -25.0, size=(5, d))
-            sigmas = np.concatenate(
-                [[-100.0], srng("sigmas").uniform(-99.0, -98.0, size=4)]
-            )
-        else:
-            centers = srng("centers").uniform(-80.0, 80.0, size=(5, d))
-            sigmas = np.concatenate(
-                [[-5000.0], srng("sigmas").uniform(-4500.0, -4000.0, size=4)]
-            )
-        comps = []
-        for k in range(5):
-            if index == 19:
-                mu = (0.5, 0.5)
-                omega = tuple(srng("omega", k).uniform(50.0, 100.0, size=4))
-            else:
-                mu = tuple(srng("mu", k).uniform(0.2, 0.5, size=2))
-                omega = tuple(srng("omega", k).uniform(5.0, 50.0, size=4))
-            theta = random_theta(d, 0.5, ANGLE_RANGE, srng("theta", k))
-            comps.append(
-                Component(
-                    centers[k], sigmas[k], ones, lam=lam,
-                    transform=TransformParams(mu, omega), theta=theta,
-                )
-            )
-        return build(comps)
-
-    if index == 21:
-        sigmas = [-50.0, -45.0, -40.0, -40.0, -40.0]
-        comps = []
-        for k in range(5):
-            if k == 1:
-                center = np.zeros(d)
-                h = ones
-            else:
-                center = _off_center_draw(srng("centers", k), d)
-                h = np.full(d, 5.0)
-            mu = tuple(srng("mu", k).uniform(0.1, 0.2, size=2))
-            omega = tuple(srng("omega", k).uniform(5.0, 10.0, size=4))
-            theta = random_theta(d, 0.5, ANGLE_RANGE, srng("theta", k))
-            comps.append(
-                Component(
-                    center, sigmas[k], h, lam=0.5,
-                    transform=TransformParams(mu, omega), theta=theta,
-                )
-            )
-        return build(comps)
-
-    if index == 22:
-        comps = []
-        for k, (c_lo, c_hi, sig, lam) in enumerate(
-            [(80.0, 90.0, -1000.0, 1.0), (-90.0, -80.0, -950.0, 0.9)]
-        ):
-            center = srng("centers", k).uniform(c_lo, c_hi, size=d)
-            h = srng("h", k).uniform(1.0, 10.0, size=d)
-            omega = tuple(srng("omega", k).uniform(20.0, 50.0, size=4))
-            theta = random_theta(d, 0.7, ANGLE_RANGE, srng("theta", k))
-            comps.append(
-                Component(
-                    center, sig, h, lam=lam,
-                    transform=TransformParams((0.5, 0.5), omega), theta=theta,
-                )
-            )
-        return build(comps)
-
-    if index == 23:
-        center = srng("center").uniform(-80.0, 80.0, size=d)
-        comps = []
-        for k in range(5):
-            omega = tuple(srng("omega", k).uniform(20.0, 50.0, size=4))
-            theta = random_theta(d, 0.75, ANGLE_RANGE, srng("theta", k))
-            comps.append(
-                Component(
-                    center, -100.0, ones, lam=0.4,
-                    transform=TransformParams((0.5, 0.5), omega), theta=theta,
-                )
-            )
-        return build(comps)
-
-    # index == 24
-    sigmas = np.concatenate([[-100.0], srng("sigmas").uniform(-99.0, -98.0, size=4)])
-    centers = srng("centers").uniform(-80.0, 80.0, size=(5, d))
-    comps = []
-    for k in range(5):
-        mu = tuple(srng("mu", k).uniform(0.2, 0.5, size=2))
-        omega = tuple(srng("omega", k).uniform(5.0, 50.0, size=4))
-        h = srng("h", k).uniform(1.0, 1e5, size=d)
-        theta = random_theta(d, 0.75, ANGLE_RANGE, srng("theta", k))
-        comps.append(
-            Component(
-                centers[k], sigmas[k], h, lam=0.25,
-                transform=TransformParams(mu, omega), theta=theta,
-            )
-        )
-    return build(comps)
-
-
-def _off_center_draw(rng, dim):
-    """Point inside [-90, 90]^d but outside the central [-30, 30]^d cube."""
-    while True:
-        x = rng.uniform(-90.0, 90.0, size=dim)
-        if np.any(np.abs(x) > 30.0):
-            return x
-
-
-def _suite_single_params(index, d, srng):
-    """(lam, transform, h_diag, theta) for single-component entries 1-15."""
-    ident = TransformParams()
-    ones = np.ones(d)
-    if index == 1:
-        return 1.0, ident, ones, None
-    if index == 2:
-        return 0.05, ident, ones, None
-    if index == 3:
-        return 1.0, ident, _permuted_linspace(srng("h"), 0.1, 1e6, d), None
-    if index == 4:
-        h = srng("h").uniform(1.0, 10.0, size=d)
-        return 1.0, ident, h, random_theta(d, 1.0, ANGLE_RANGE, srng("theta"))
-    if index == 5:
-        h = _permuted_linspace(srng("h"), 0.1, 1e6, d)
-        return 0.05, ident, h, _chain_theta(d, srng("theta"))
-    if index == 6:
-        h = _permuted_linspace(srng("h"), 0.1, 1e6, d)
-        return 0.05, ident, h, random_theta(d, 1.0, ANGLE_RANGE, srng("theta"))
-    if index == 7:
-        return 1.0, TransformParams((0.2, 0.2), (20,) * 4), ones, None
-    if index == 8:
-        return 1.0, TransformParams((0.2, 0.2), (50,) * 4), ones, None
-    if index == 9:
-        return 1.0, TransformParams((1.0, 1.0), (20,) * 4), ones, None
-    if index == 10:
-        return 1.0, TransformParams((0.2, 0.5), (20, 50, 10, 25)), ones, None
-    if index == 11:
-        theta = random_theta(d, 1.0, ANGLE_RANGE, srng("theta"))
-        return 1.0, TransformParams((0.2, 0.5), (20, 50, 10, 25)), ones, theta
-    if index == 12:
-        theta = _grouped_theta(
-            d, (np.pi / 4, 3 * np.pi / 4, np.pi / 8), srng("theta")
-        )
-        return 1.0, TransformParams((0.2, 0.5), (20, 50, 10, 25)), ones, theta
-    if index == 13:
-        theta = random_theta(d, 1.0, ANGLE_RANGE, srng("theta"))
-        return 1.0, TransformParams((1.0, 1.0), (50,) * 4), ones, theta
-    if index == 14:
-        h = srng("h").uniform(1.0, 1e3, size=d)
-        extremes = srng("h-extremes").permutation(d)[:2]
-        h[extremes[0]], h[extremes[1]] = 0.01, 1e3
-        theta = random_theta(d, 1.0, ANGLE_RANGE, srng("theta"))
-        return 0.6, TransformParams((0.7, 0.2), (25, 10, 20, 50)), h, theta
-    # index == 15
-    h = 1.0 + (1e5 - 1.0) * srng("h").beta(0.2, 0.2, size=d)
-    extremes = srng("h-extremes").permutation(d)[:2]
-    h[extremes[0]], h[extremes[1]] = 1.0, 1e5
-    theta = random_theta(d, 1.0, ANGLE_RANGE, srng("theta"))
-    return 0.1, TransformParams((1.0, 1.0), (10,) * 4), h, theta
+    entry = _SUITE[index - 1]
+    shared = partial(_stream, seed, "suite", index)
+    components = []
+    for k in range(entry.o):
+        slot = _Slot(shared, k, entry.o)
+        components.append(Component(
+            center=_filled(_value(entry.center, slot)),
+            sigma=_value(entry.sigma, slot),
+            h_diag=_filled(_value(entry.h, slot)),
+            lam=_value(entry.lam, slot),
+            transform=TransformParams(_value(entry.mu, slot), _value(entry.omega, slot)),
+            theta=_value(entry.theta, slot),
+        ))
+    return _instance(ScenarioConfig(seed=seed), components, f"suite-f{index}", index=index)

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
 from .core import BudgetedEvaluator, ProblemInstance
-from .optimizers import OptimizerConfig, RunResult, run_optimizer
+from .optimizers import DEFAULT_THRESHOLD, OptimizerConfig, RunResult, run_optimizer
 
 DEFAULT_RUNS = 31
 DEFAULT_BUDGET = 500_000
 DEFAULT_MILESTONES = (100_000, 250_000, 500_000)
-DEFAULT_THRESHOLD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,20 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
     statistics use the sample (n-1) standard deviation; mean FE-to-success
     averages successful runs only and is None when none succeed.
     """
-    if workers > 1 and spec.runs > 1:
+    return _run_all([spec], workers)[0]
+
+
+def _run_all(specs: list[ExperimentSpec], workers: int) -> list[ExperimentReport]:
+    """One report per spec.  All runs of all specs share one process pool;
+    results come back in (spec, run) order whatever the worker count."""
+    tasks = [(spec, i) for spec in specs for i in range(spec.runs)]
+    if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one_run, [spec] * spec.runs, range(spec.runs)))
+            results = list(pool.map(_one_run, *zip(*tasks)))
     else:
-        results = [_one_run(spec, i) for i in range(spec.runs)]
-    return aggregate(spec, tuple(results))
+        results = [_one_run(spec, i) for spec, i in tasks]
+    runs = iter(results)
+    return [aggregate(spec, tuple(islice(runs, spec.runs))) for spec in specs]
 
 
 def aggregate(spec: ExperimentSpec, results: tuple[RunResult, ...]) -> ExperimentReport:
@@ -112,8 +120,5 @@ def sweep(
 ) -> list[ExperimentReport]:
     """One report per knob value; ``make_instance(value)`` builds the
     instance for each, everything else taken from the template."""
-    reports = []
-    for value in knob_values:
-        spec = replace(template, instance=make_instance(value), knob=value)
-        reports.append(run_experiment(spec, workers=workers))
-    return reports
+    specs = [replace(template, instance=make_instance(v), knob=v) for v in knob_values]
+    return _run_all(specs, workers)

@@ -72,16 +72,17 @@ def _vector(doc, key, dim, where):
     if len(raw) != dim:
         raise InstanceFormatError(f"{where}.{key}: expected {dim} elements, got {len(raw)}")
     try:
-        vec = np.array([float(v) for v in raw])
+        return np.array([float(v) for v in raw])
     except (TypeError, ValueError):
         raise InstanceFormatError(f"{where}.{key}: non-numeric element") from None
-    if not np.all(np.isfinite(vec)):
-        raise InstanceFormatError(f"{where}.{key}: non-finite element")
-    return vec
 
 
 def parse_instance(doc: dict) -> ProblemInstance:
-    """Rebuild an instance from its document; errors name the bad field."""
+    """Rebuild an instance from its document; errors name the bad field.
+
+    The parser checks structure and types; the constructors check values,
+    and their errors are re-raised with the path of the field at fault.
+    """
     if not isinstance(doc, dict):
         raise InstanceFormatError("document: expected a JSON object")
     version = _require(doc, "format_version", str, "document")
@@ -96,8 +97,6 @@ def parse_instance(doc: dict) -> ProblemInstance:
     lower = _vector(bounds, "lower", dim, "bounds")
     upper = _vector(bounds, "upper", dim, "bounds")
     raw_components = _require(doc, "components", list, "document")
-    if not raw_components:
-        raise InstanceFormatError("document.components: must be nonempty")
 
     components = []
     for k, raw in enumerate(raw_components):
@@ -107,18 +106,9 @@ def parse_instance(doc: dict) -> ProblemInstance:
         sigma = float(_require(raw, "sigma", (int, float), where))
         center = _vector(raw, "m", dim, where)
         h_diag = _vector(raw, "h_diag", dim, where)
-        if np.any(h_diag <= 0):
-            raise InstanceFormatError(f"{where}.h_diag: elements must be > 0")
         lam = float(_require(raw, "lambda", (int, float), where))
-        if lam <= 0:
-            raise InstanceFormatError(f"{where}.lambda: must be > 0")
         mu = _vector(raw, "mu", 2, where)
         omega = _vector(raw, "omega", 4, where)
-        try:
-            transform = TransformParams(tuple(mu), tuple(omega))
-        except ValueError as exc:
-            raise InstanceFormatError(f"{where}: {exc}") from None
-
         triples = []
         for t, entry in enumerate(_require(raw, "theta", list, where)):
             tw = f"{where}.theta[{t}]"
@@ -127,31 +117,26 @@ def parse_instance(doc: dict) -> ProblemInstance:
             p = _require(entry, "p", int, tw)
             q = _require(entry, "q", int, tw)
             angle = float(_require(entry, "angle", (int, float), tw))
-            if not 1 <= p < q <= dim:
-                raise InstanceFormatError(f"{tw}: require 1 <= p < q <= dim, got p={p}, q={q}")
             triples.append((p, q, angle))
-
-        theta = ThetaSpec.from_triples(dim, triples) if triples else None
         rotation = None
         if "rotation" in raw:
             if triples:
                 raise InstanceFormatError(f"{where}: theta and rotation are mutually exclusive")
             rows = _require(raw, "rotation", list, where)
-            if len(rows) != dim:
-                raise InstanceFormatError(f"{where}.rotation: expected {dim} rows")
             rotation = np.array(
                 [_vector({"row": r}, "row", dim, f"{where}.rotation[{i}]") for i, r in enumerate(rows)]
             )
         try:
+            transform = TransformParams(tuple(mu), tuple(omega))
+            theta = ThetaSpec.from_triples(dim, triples) if triples else None
             components.append(
                 Component(center, sigma, h_diag, lam, transform, theta, rotation)
             )
         except (ValueError, ArithmeticError) as exc:
             raise InstanceFormatError(f"{where}: {exc}") from None
 
-    provenance = doc.get("provenance")
     try:
-        return ProblemInstance(dim, lower, upper, tuple(components), provenance)
+        return ProblemInstance(dim, lower, upper, tuple(components), doc.get("provenance"))
     except ValueError as exc:
         raise InstanceFormatError(f"document: {exc}") from None
 

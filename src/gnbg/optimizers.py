@@ -91,11 +91,8 @@ def _make_tracked(evaluator: BudgetedEvaluator, threshold: float):
 
 
 def _finish(evaluator, threshold, milestones) -> RunResult:
-    fe_to_success = None
-    for fe, err in evaluator.history:
-        if err <= threshold:
-            fe_to_success = fe
-            break
+    # a run stops at the FE that reaches the threshold, its last improvement
+    fe_to_success = evaluator.history[-1][0] if evaluator.best_error <= threshold else None
     return RunResult(
         best_value=evaluator.best_value,
         best_position=evaluator.best_position,

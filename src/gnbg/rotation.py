@@ -1,5 +1,5 @@
-"""Plane-rotation machinery: Givens factors, composed rotation matrices,
-and random interaction structures.
+"""Plane-rotation machinery: composed rotation matrices and random
+interaction structures.
 
 Variable interactions are encoded as an upper-triangular matrix of plane
 angles (one angle per variable pair).  Composing the corresponding Givens
@@ -36,6 +36,8 @@ class ThetaSpec:
             raise ValueError(
                 f"angles must have shape ({self.dim}, {self.dim}), got {angles.shape}"
             )
+        if not np.all(np.isfinite(angles)):
+            raise ValueError("theta angles must be finite")
         if np.any(np.tril(angles) != 0.0):
             raise ValueError("angles on or below the principal diagonal must be zero")
         object.__setattr__(self, "angles", angles)
@@ -50,7 +52,7 @@ class ThetaSpec:
         angles = np.zeros((dim, dim))
         for p, q, angle in triples:
             if not (1 <= p < q <= dim):
-                raise ValueError(f"invalid pair (p={p}, q={q}) for dim {dim}")
+                raise ValueError(f"invalid theta pair (p={p}, q={q}) for dim {dim}")
             angles[p - 1, q - 1] = angle
         return cls(dim, angles)
 
@@ -64,24 +66,6 @@ class ThetaSpec:
 
     def is_identity(self) -> bool:
         return self.num_nonzero() == 0
-
-
-def givens(dim: int, p: int, q: int, theta: float) -> np.ndarray:
-    """Givens rotation of angle ``theta`` in the x_p - x_q plane (1-indexed).
-
-    Identity everywhere except entries (p,p) = (q,q) = cos(theta),
-    (p,q) = -sin(theta), (q,p) = sin(theta).
-    """
-    if not (1 <= p < q <= dim):
-        raise ValueError(f"require 1 <= p < q <= dim, got p={p}, q={q}, dim={dim}")
-    g = np.eye(dim)
-    c, s = np.cos(theta), np.sin(theta)
-    i, j = p - 1, q - 1
-    g[i, i] = c
-    g[j, j] = c
-    g[i, j] = -s
-    g[j, i] = s
-    return g
 
 
 def rotation_from_theta(theta_spec: ThetaSpec) -> np.ndarray:
@@ -105,7 +89,7 @@ def rotation_from_theta(theta_spec: ThetaSpec) -> np.ndarray:
                 r[:, i] = c * col_i + s * r[:, j]
                 r[:, j] = -s * col_i + c * r[:, j]
     err = orthogonality_error(r)
-    if err > ORTHOGONALITY_TOL:
+    if not err <= ORTHOGONALITY_TOL:  # NaN-safe
         raise ArithmeticError(f"composed rotation lost orthogonality (error {err:.3e})")
     return r
 

@@ -12,7 +12,6 @@ from gnbg.core import (
     dominated_components,
     eval_component,
     evaluate,
-    tracked_evaluate,
 )
 from gnbg.rotation import ThetaSpec, random_theta
 from gnbg.transform import TransformParams
@@ -213,7 +212,7 @@ class TestClassify:
 class TestBudgetedEvaluator:
     def test_first_call_initializes_best(self):
         ev = BudgetedEvaluator(_instance([_component()]), 10)
-        value = tracked_evaluate(ev, np.array([3.0, 4.0]))
+        value = ev(np.array([3.0, 4.0]))
         assert value == 25.0
         assert ev.fe_used == 1
         assert ev.best_value == 25.0

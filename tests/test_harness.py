@@ -1,8 +1,12 @@
 """Tests for the repeated-run experiment protocol and aggregation."""
 
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from gnbg import harness
 from gnbg.generators import ScenarioConfig, gen_linearity
 from gnbg.harness import ExperimentSpec, run_experiment, sweep
 from gnbg.optimizers import OptimizerConfig
@@ -99,3 +103,28 @@ class TestSweep:
         )
         assert [r.knob for r in reports] == [0.75, 1.0]
         assert all(r.success_rate == 100.0 for r in reports)
+
+    def test_one_pool_for_all_values(self, monkeypatch):
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        template = _spec(runs=2, budget=3_000, milestones=(3_000,))
+        values = [0.5, 1.0, 2.0]
+        parallel = sweep(template, values, gen_linearity, workers=2)
+        assert len(pools) == 1
+        serial = sweep(template, values, gen_linearity)
+
+        def runs(reports):
+            return [
+                (r.knob, [(x.best_value, x.fe_used, x.fe_to_success) for x in r.run_results])
+                for r in reports
+            ]
+
+        assert runs(parallel) == runs(serial)
+        alone = run_experiment(replace(template, instance=gen_linearity(1.0), knob=1.0))
+        assert runs([alone]) == runs(parallel)[1:2]

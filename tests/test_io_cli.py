@@ -23,7 +23,7 @@ from gnbg.instance_io import (
     serialize_instance,
 )
 from gnbg.optimizers import OptimizerConfig
-from gnbg.rotation import random_theta
+from gnbg.rotation import ThetaSpec, random_theta
 
 
 def _schema(name):
@@ -111,6 +111,63 @@ class TestParseErrors:
     def test_invalid_json_text(self):
         with pytest.raises(InstanceFormatError):
             load_instance("{not json")
+
+
+def _set_sigma(doc):
+    doc["components"][0]["sigma"] = float("nan")
+
+
+def _set_angle(doc):
+    doc["components"][0]["theta"] = [{"p": 1, "q": 2, "angle": float("nan")}]
+
+
+def _set_center(doc):
+    doc["components"][0]["m"][1] = float("nan")
+
+
+def _set_rotation(doc):
+    doc["components"][0]["rotation"] = [[float("nan")] * 2] * 2
+
+
+def _set_bounds(doc):
+    doc["bounds"]["lower"][0] = float("-inf")
+
+
+class TestNonFiniteRejected:
+    """Non-finite values that JSON admits (NaN, Infinity) are rejected when
+    the instance is built, with the field named, not at evaluation."""
+
+    @pytest.mark.parametrize("mutate,field", [
+        (_set_sigma, "sigma"),
+        (_set_angle, "theta"),
+        (_set_center, "center"),
+        (_set_rotation, "rotation"),
+        (_set_bounds, "bounds"),
+    ])
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_cli_exits_2_naming_the_field(self, tmp_path, capsys, mutate, field, command):
+        doc = serialize_instance(_sphere_2d())
+        mutate(doc)
+        path = tmp_path / "bad.gnbg.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err
+
+    @pytest.mark.parametrize("build", [
+        lambda: Component(np.array([0.0, np.nan]), 0.0, np.ones(2)),
+        lambda: Component(np.zeros(2), np.nan, np.ones(2)),
+        lambda: Component(np.zeros(2), 0.0, np.ones(2), lam=np.inf),
+        lambda: Component(np.zeros(2), 0.0, np.ones(2), rotation=np.full((2, 2), np.nan)),
+        lambda: ThetaSpec.from_triples(2, [(1, 2, np.nan)]),
+        lambda: ProblemInstance(
+            2, np.array([-np.inf, -1.0]), np.ones(2), (Component(np.zeros(2), 0.0, np.ones(2)),)
+        ),
+    ], ids=["center", "sigma", "lambda", "rotation", "angle", "bounds"])
+    def test_constructors_reject(self, build):
+        with pytest.raises(ValueError, match="finite|orthogonal"):
+            build()
 
 
 class TestExportGrid:

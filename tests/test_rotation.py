@@ -1,5 +1,7 @@
 """Tests for Givens factors, composed rotations, and random structures."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,11 +11,29 @@ from gnbg.rotation import (
     ORTHOGONALITY_TOL,
     ThetaSpec,
     full_theta,
-    givens,
     orthogonality_error,
     random_theta,
     rotation_from_theta,
 )
+
+
+def givens(dim: int, p: int, q: int, theta: float) -> np.ndarray:
+    """Oracle: the Givens rotation of angle ``theta`` in the x_p - x_q plane
+    (1-indexed), the factor that ``rotation_from_theta`` composes.
+
+    Identity everywhere except entries (p,p) = (q,q) = cos(theta),
+    (p,q) = -sin(theta), (q,p) = sin(theta).
+    """
+    if not (1 <= p < q <= dim):
+        raise ValueError(f"require 1 <= p < q <= dim, got p={p}, q={q}, dim={dim}")
+    g = np.eye(dim)
+    c, s = np.cos(theta), np.sin(theta)
+    i, j = p - 1, q - 1
+    g[i, i] = c
+    g[j, j] = c
+    g[i, j] = -s
+    g[j, i] = s
+    return g
 
 
 class TestGivens:
@@ -104,6 +124,9 @@ class TestRotationProperties:
         r = rotation_from_theta(spec)
         assert orthogonality_error(r) <= ORTHOGONALITY_TOL
         assert abs(np.linalg.det(r) - 1.0) <= 1e-12
+        # the product of the Givens factors, pairs in row-major order
+        factors = [givens(spec.dim, p, q, a) for p, q, a in spec.to_triples()]
+        assert np.allclose(r, reduce(np.matmul, factors, np.eye(spec.dim)), atol=1e-13)
 
 
 class TestRandomTheta:
