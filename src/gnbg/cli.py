@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -218,8 +218,8 @@ def _cmd_evaluate(args) -> int:
         raise InstanceFormatError(
             f"point: expected {instance.dim} coordinates, got {points.shape[1]}"
         )
-    for x in points:
-        sys.stdout.write(repr(evaluate(instance, x)) + "\n")
+    for value in evaluate_batch(instance, points).tolist():
+        sys.stdout.write(repr(value) + "\n")
     return EXIT_OK
 
 
@@ -269,8 +269,9 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     args.seed = _seed_or_env(args)
     values = _number_list("--values", args.values, float)
-    template = _spec(args, _scenario_instance(args.scenario, values[0], args), args.seed)
-    make = partial(_scenario_instance, args.scenario, args=args)
+    # the template's instance is the first value's: build each value once
+    make = cache(partial(_scenario_instance, args.scenario, args=args))
+    template = _spec(args, make(values[0]), args.seed)
     _emit_reports(args, sweep(template, values, make, workers=args.workers))
     return EXIT_OK
 

@@ -62,7 +62,8 @@ def _require(doc, key, types, where):
     if key not in doc:
         raise InstanceFormatError(f"{where}: missing field {key!r}")
     value = doc[key]
-    if not isinstance(value, types):
+    # no field is a boolean, and JSON true/false must not pass as 1/0
+    if isinstance(value, bool) or not isinstance(value, types):
         raise InstanceFormatError(f"{where}.{key}: unexpected type {type(value).__name__}")
     return value
 
@@ -72,6 +73,8 @@ def _vector(doc, key, dim, where):
     if len(raw) != dim:
         raise InstanceFormatError(f"{where}.{key}: expected {dim} elements, got {len(raw)}")
     try:
+        if {bool, str} & set(map(type, raw)):  # float() would take true and "1.5"
+            raise TypeError
         return np.array([float(v) for v in raw])
     except (TypeError, ValueError):
         raise InstanceFormatError(f"{where}.{key}: non-numeric element") from None

@@ -1,9 +1,11 @@
 """Baseline derivative-free minimizers: pattern search, constriction-factor
 PSO, and DE/rand/1/bin.
 
-Every optimizer consumes exactly one tracked evaluation per candidate, keeps
-all candidates inside the box by clamping, stops as soon as the best error
-reaches the success threshold, and is bit-reproducible for a fixed seed.
+Every optimizer is charged one FE per candidate, in the order a one-point
+loop would evaluate them; candidates evaluated speculatively past the point
+where a run's course changes are neither charged nor recorded.  All keep
+candidates inside the box by clamping, stop as soon as the best error
+reaches the success threshold, and are bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -66,17 +68,8 @@ class _StopSearch(Exception):
 
 
 def _make_tracked(evaluator: BudgetedEvaluator, threshold: float):
-    """One-point and many-point evaluation that raise _StopSearch once the
-    run is over: at the threshold, or with the budget used up."""
-
-    def tracked(x: np.ndarray) -> float:
-        try:
-            value = evaluator(x)
-        except BudgetExhaustedError:
-            raise _StopSearch from None
-        if evaluator.best_error <= threshold:
-            raise _StopSearch
-        return value
+    """Many-point evaluation that raises _StopSearch once the run is over:
+    at the threshold, or with the budget used up."""
 
     def tracked_rows(X: np.ndarray, stop_below: float | None = None) -> np.ndarray:
         try:
@@ -87,7 +80,7 @@ def _make_tracked(evaluator: BudgetedEvaluator, threshold: float):
             raise _StopSearch
         return values
 
-    return tracked, tracked_rows
+    return tracked_rows
 
 
 def _finish(evaluator, threshold, milestones) -> RunResult:
@@ -115,29 +108,35 @@ def pattern_search(
     Polls the 2d directions +-e_i in a freshly randomized order each
     iteration, moves on the first improvement, contracts the mesh after a
     fully failed poll and re-expands it (capped at the initial size) after
-    a success.  A poll's points are evaluated in one batch; FEs are charged
-    in poll order up to the first improvement only.
+    a success.  A poll's points are evaluated in blocks of d // 2 (at least
+    one; the whole poll for a single component), up to the block holding
+    the first improvement; FEs are charged in poll order up to it only.
     """
     rng = np.random.default_rng(cfg.seed)
     lower, upper = evaluator.instance.bounds
     d = evaluator.instance.dim
-    tracked, tracked_rows = _make_tracked(evaluator, threshold)
+    tracked_rows = _make_tracked(evaluator, threshold)
 
     initial_mesh = cfg.initial_mesh_fraction * (upper - lower)
     mesh = initial_mesh.copy()
     rows = np.arange(2 * d)
+    # rows of a single component cost so little next to a kernel call that a
+    # whole poll is cheaper than the extra calls of charging it in blocks
+    block = 2 * d if len(evaluator.instance.components) == 1 else max(1, d // 2)
     try:
         x = rng.uniform(lower, upper)
-        fx = tracked(x)
+        fx = float(tracked_rows(x[None, :])[0])
         while True:
             axis, sign = np.divmod(rng.permutation(2 * d), 2)
             polls = np.repeat(x[None, :], 2 * d, axis=0)
             polls[rows, axis] += np.where(sign == 0, mesh[axis], -mesh[axis])
             polls = np.clip(polls, lower, upper, out=polls)
-            values = tracked_rows(polls, stop_below=fx)
-            if values[-1] < fx:
-                x, fx = polls[len(values) - 1], float(values[-1])
-                mesh = np.minimum(mesh * cfg.expand, initial_mesh)
+            for start in range(0, 2 * d, block):
+                values = tracked_rows(polls[start : start + block], stop_below=fx)
+                if values[-1] < fx:
+                    x, fx = polls[start + len(values) - 1], float(values[-1])
+                    mesh = np.minimum(mesh * cfg.expand, initial_mesh)
+                    break
             else:
                 mesh = mesh * cfg.contract
     except _StopSearch:
@@ -155,8 +154,10 @@ def pso(
 
     v <- chi * (v + c1 r1 (pbest - x) + c2 r2 (gbest - x)), element-wise
     uniform r1, r2.  Uniform init in the box, zero initial velocity, no
-    velocity clamp; positions are clamped to the box.  The initial swarm is
-    evaluated in one batch, every later position on its own.
+    velocity clamp; positions are clamped to the box; gbest moves as soon as
+    a particle beats it.  The initial swarm is one batch; each sweep is
+    evaluated from the current particle to its end in one batch, charged up
+    to the first particle that beats gbest, and resumed after it.
     """
     if cfg.population > evaluator.max_fe:
         raise ValueError(
@@ -166,7 +167,7 @@ def pso(
     lower, upper = evaluator.instance.bounds
     d = evaluator.instance.dim
     n = cfg.population
-    tracked, tracked_rows = _make_tracked(evaluator, threshold)
+    tracked_rows = _make_tracked(evaluator, threshold)
 
     pos = rng.uniform(lower, upper, size=(n, d))
     vel = np.zeros((n, d))
@@ -175,21 +176,24 @@ def pso(
         pbest_val = tracked_rows(pos)
         g = int(np.argmin(pbest_val))
         while True:
-            for i in range(n):
-                r1 = rng.uniform(size=d)
-                r2 = rng.uniform(size=d)
-                vel[i] = cfg.chi * (
-                    vel[i]
-                    + cfg.c1 * r1 * (pbest[i] - pos[i])
-                    + cfg.c2 * r2 * (pbest[g] - pos[i])
+            r1, r2 = rng.uniform(size=(n, 2, d)).transpose(1, 0, 2)
+            i = 0
+            while i < n:
+                # particles i.. all follow pbest[g]; charging stops at the
+                # first one that beats it, the only one that moves g
+                v = cfg.chi * (
+                    vel[i:]
+                    + cfg.c1 * r1[i:] * (pbest[i:] - pos[i:])
+                    + cfg.c2 * r2[i:] * (pbest[g] - pos[i:])
                 )
-                pos[i] = np.clip(pos[i] + vel[i], lower, upper)
-                value = tracked(pos[i])
-                if value < pbest_val[i]:
-                    pbest_val[i] = value
-                    pbest[i] = pos[i].copy()
-                    if value < pbest_val[g]:
-                        g = i
+                x = np.clip(pos[i:] + v, lower, upper)
+                values = tracked_rows(x, stop_below=pbest_val[g])
+                j = i + len(values)
+                vel[i:j], pos[i:j] = v[: j - i], x[: j - i]
+                new_g = j - 1 if values[-1] < pbest_val[g] else g
+                better = i + np.flatnonzero(values < pbest_val[i:j])
+                pbest_val[better], pbest[better] = values[better - i], pos[better]
+                g, i = new_g, j
     except _StopSearch:
         pass
     return _finish(evaluator, threshold, milestones)
@@ -214,7 +218,7 @@ def de(
     lower, upper = evaluator.instance.bounds
     d = evaluator.instance.dim
     n = cfg.population
-    _, tracked_rows = _make_tracked(evaluator, threshold)
+    tracked_rows = _make_tracked(evaluator, threshold)
 
     pop = rng.uniform(lower, upper, size=(n, d))
     donors = np.empty((n, 3), dtype=np.intp)

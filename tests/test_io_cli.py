@@ -170,6 +170,66 @@ class TestNonFiniteRejected:
             build()
 
 
+def _theta_triple(p=1, q=2, angle=0.5):
+    def mutate(doc):
+        doc["components"][0]["theta"] = [{"p": p, "q": q, "angle": angle}]
+    return mutate
+
+
+def _set_field(key, value):
+    def mutate(doc):
+        doc["components"][0][key] = value
+    return mutate
+
+
+def _set_dim(doc):
+    doc["dim"] = True
+
+
+def _set_center_element(doc):
+    doc["components"][0]["m"][0] = True
+
+
+def _set_h_element(doc):
+    doc["components"][0]["h_diag"][1] = "1.5"
+
+
+class TestBooleansRejected:
+    """JSON true/false is not a number: bool subclasses int in Python, so a
+    boolean must be turned away by name wherever an int or float is read
+    (and a numeric string wherever a vector element is)."""
+
+    @pytest.mark.parametrize("mutate,message", [
+        (_set_dim, "document.dim: unexpected type bool"),
+        (_theta_triple(p=True), "theta[0].p: unexpected type bool"),
+        (_theta_triple(q=True), "theta[0].q: unexpected type bool"),
+        (_theta_triple(angle=False), "theta[0].angle: unexpected type bool"),
+        (_set_field("sigma", True), "components[0].sigma: unexpected type bool"),
+        (_set_field("lambda", True), "components[0].lambda: unexpected type bool"),
+        (_set_center_element, "components[0].m: non-numeric element"),
+        (_set_h_element, "components[0].h_diag: non-numeric element"),
+    ], ids=["dim", "p", "q", "angle", "sigma", "lambda", "m", "h_diag-string"])
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_cli_exits_2_naming_the_field(self, tmp_path, capsys, mutate, message, command):
+        doc = serialize_instance(_sphere_2d())
+        mutate(doc)
+        path = tmp_path / "bad.gnbg.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_integers_still_accepted(self):
+        doc = serialize_instance(_sphere_2d())
+        _theta_triple(angle=1)(doc)
+        doc["components"][0]["sigma"] = 3
+        doc["components"][0]["m"] = [1, 2]
+        inst = parse_instance(doc)
+        assert inst.components[0].sigma == 3.0
+        assert inst.optimum_position.tolist() == [1.0, 2.0]
+
+
 class TestExportGrid:
     def test_corner_value_matches_arithmetic(self):
         doc = export_grid(_sphere_2d(), 0, 1, 3, np.zeros(2))
@@ -261,6 +321,18 @@ class TestCli:
         value = float(capsys.readouterr().out.strip())
         assert value == inst.optimum_value
 
+    def test_evaluate_many_points_prints_each_value(self, tmp_path, capsys):
+        inst = suite_instance(24, seed=0)
+        path = tmp_path / "f24.gnbg.json"
+        path.write_text(dump_instance(inst))
+        X = np.random.default_rng(5).uniform(inst.lower, inst.upper, size=(7, inst.dim))
+        X[3] = inst.optimum_position
+        point = tmp_path / "points.json"
+        point.write_text(json.dumps(X.tolist()))
+        assert main(["evaluate", "--instance", str(path), "--point", str(point)]) == 0
+        expected = "".join(repr(evaluate(inst, x)) + "\n" for x in X)
+        assert capsys.readouterr().out == expected
+
     def test_run_emits_csv(self, capsys):
         code = main(["run", "--suite", "1", "--optimizer", "de", "--runs", "2",
                      "--budget", "2000", "--milestones", "2000", "--seed", "0"])
@@ -277,6 +349,23 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "0.75"
+
+    def test_sweep_builds_each_instance_once(self, capsys, monkeypatch):
+        import gnbg.generators
+
+        built = []
+        real = gnbg.generators.gen_linearity
+
+        def counting(value, cfg):
+            built.append(value)
+            return real(value, cfg)
+
+        monkeypatch.setattr(gnbg.generators, "gen_linearity", counting)
+        assert main(["sweep", "--scenario", "linearity", "--values", "0.5,1.0",
+                     "--optimizer", "ps", "--runs", "1", "--budget", "50",
+                     "--milestones", "50", "--seed", "0"]) == 0
+        assert built == [0.5, 1.0]
+        assert len(capsys.readouterr().out.splitlines()) == 3
 
     def test_grid_command(self, tmp_path, capsys):
         path = tmp_path / "inst.gnbg.json"

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gnbg.core import BudgetedEvaluator, Component, ProblemInstance
-from gnbg.generators import gen_linearity
+from gnbg.core import BudgetedEvaluator, BudgetExhaustedError, Component, ProblemInstance
+from gnbg.generators import SUITE_SIZE, gen_linearity, suite_instance
 from gnbg.optimizers import OptimizerConfig, de, pattern_search, pso, run_optimizer
 
 
@@ -57,6 +57,78 @@ class TestPatternSearch:
         assert results[0].best_value == results[1].best_value
         assert np.array_equal(results[0].best_position, results[1].best_position)
         assert results[0].fe_used == results[1].fe_used
+
+
+class _Stop(Exception):
+    pass
+
+
+def oracle_pattern_search(evaluator, cfg, threshold):
+    """Pattern search one point per FE, in poll order: the semantics that
+    block-wise poll charging must reproduce."""
+    rng = np.random.default_rng(cfg.seed)
+    lower, upper = evaluator.instance.bounds
+    d = evaluator.instance.dim
+
+    def tracked(x):
+        value = evaluator(x)
+        if evaluator.best_error <= threshold:
+            raise _Stop
+        return value
+
+    initial_mesh = cfg.initial_mesh_fraction * (upper - lower)
+    mesh = initial_mesh.copy()
+    try:
+        x = rng.uniform(lower, upper)
+        fx = tracked(x)
+        while True:
+            axis, sign = np.divmod(rng.permutation(2 * d), 2)
+            polls = np.repeat(x[None, :], 2 * d, axis=0)
+            polls[np.arange(2 * d), axis] += np.where(sign == 0, mesh[axis], -mesh[axis])
+            for y in np.clip(polls, lower, upper):
+                value = tracked(y)
+                if value < fx:
+                    x, fx = y, value
+                    mesh = np.minimum(mesh * cfg.expand, initial_mesh)
+                    break
+            else:
+                mesh = mesh * cfg.contract
+    except (_Stop, BudgetExhaustedError):
+        pass
+
+
+def _run_state(ev):
+    return ev.fe_used, float(ev.best_value).hex(), ev.best_position.tobytes(), ev.history
+
+
+class TestPatternSearchPolls:
+    @pytest.mark.parametrize("threshold", [1e-8, 50.0])
+    @pytest.mark.parametrize("k", range(1, SUITE_SIZE + 1))
+    def test_matches_point_by_point_polls(self, k, threshold):
+        instance, cfg = suite_instance(k, 0), OptimizerConfig(kind="ps", seed=2)
+        expected = BudgetedEvaluator(instance, 777)
+        oracle_pattern_search(expected, cfg, threshold)
+        ev = BudgetedEvaluator(instance, 777)
+        pattern_search(ev, cfg, threshold)
+        assert _run_state(ev) == _run_state(expected)
+
+    @pytest.mark.parametrize("k,rows", [(21, 15), (9, 60)], ids=["five-components", "one-component"])
+    def test_poll_block_size(self, monkeypatch, k, rows):
+        """d // 2 rows per call on a multi-component instance, the whole
+        poll (2d rows) on a single component; d = 30 here."""
+        instance = suite_instance(k, 0)
+        ev = BudgetedEvaluator(instance, 2_000)
+        sizes = []
+        real = BudgetedEvaluator.batch
+
+        def batch(self, X, *args, **kwargs):
+            sizes.append(len(X))
+            return real(self, X, *args, **kwargs)
+
+        monkeypatch.setattr(BudgetedEvaluator, "batch", batch)
+        pattern_search(ev, OptimizerConfig(kind="ps", seed=0))
+        assert sizes[0] == 1
+        assert set(sizes[1:]) == {rows}
 
 
 class TestPso:
