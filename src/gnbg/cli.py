@@ -77,16 +77,15 @@ def _read_instance(path: str):
 
 
 def _read_points(path: str) -> np.ndarray:
+    """Rows of a JSON array, or of a text file with one point per line."""
     with open(path) as fh:
         text = fh.read()
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
-        data = [float(tok) for tok in text.replace(",", " ").split()]
-    points = np.asarray(data, dtype=float)
-    if points.ndim == 1:
-        points = points[None, :]
-    return points
+        data = [[float(tok) for tok in line.replace(",", " ").split()]
+                for line in text.splitlines() if line.strip()]
+    return np.atleast_2d(np.asarray(data, dtype=float))
 
 
 def _number_list(flag: str, raw: str, kind) -> list:
@@ -155,7 +154,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="evaluate an instance at stored points")
     p.add_argument("--instance", required=True)
     p.add_argument("--point", required=True,
-                   help="file with a JSON array (or rows of numbers)")
+                   help="file with a JSON array (or rows of numbers, one point per line)")
 
     p = sub.add_parser("run", help="run one aggregated experiment")
     p.add_argument("--instance", type=str, default=None)

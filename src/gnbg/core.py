@@ -12,7 +12,8 @@ Evaluation cost is O(o * d^2): one matrix-vector product per component.
 One kernel evaluates any number of points over the stacked components.  It
 applies to every (point, component) pair the same floating-point operations
 as evaluating that component alone, so a point's value is the same bits
-whatever batch it is evaluated in.
+whatever batch it is evaluated in.  A single point is the one-row case of
+that kernel, and one charged FE the one-row case of ``BudgetedEvaluator.batch``.
 """
 
 from __future__ import annotations
@@ -128,19 +129,15 @@ class _Kernel:
         self.centers = np.stack([c.center for c in components])
         self.h = np.stack([c.h_diag for c in components])
         self.sigma = np.array([c.sigma for c in components])
-        self.single = len(components) == 1
         rotated = [k for k, c in enumerate(components) if c.rotation is not None]
         self.rotated = _selector(rotated)
         self.rotations = np.stack([components[k].rotation for k in rotated]) if rotated else None
         transformed = [k for k, c in enumerate(components) if not c.transform.is_identity]
         self.transformed = _selector(transformed)
-        if len(transformed) == 1:
-            params = components[transformed[0]].transform
-            self.mu, self.omega = params.mu, params.omega
-        else:  # (t, 1) columns that broadcast against the (n, t, d) transform input
-            params = [components[k].transform for k in transformed]
-            table = np.array([p.mu + p.omega for p in params]).reshape(-1, 6).T[:, :, None]
-            self.mu, self.omega = tuple(table[:2]), tuple(table[2:])
+        # (t, 1) columns that broadcast against the (n, t, d) transform input
+        params = [components[k].transform for k in transformed]
+        table = np.array([p.mu + p.omega for p in params]).reshape(-1, 6).T[:, :, None]
+        self.mu, self.omega = tuple(table[:2]), tuple(table[2:])
         # Python floats: float ** float is the C library's pow, which numpy's
         # vectorized power does not match to the last bit on every host
         self.powered = [(k, c.lam) for k, c in enumerate(components) if c.lam != 1.0]
@@ -163,32 +160,14 @@ class _Kernel:
         Q = np.matmul((Z * self.h)[:, :, None, :], Z[:, :, :, None])[:, :, 0, 0]
         for k, lam in self.powered:
             Q[:, k] = [q**lam for q in Q[:, k].tolist()]
-        F = Q + self.sigma
-        return F[:, 0] if self.single else F.min(axis=1)
+        return (Q + self.sigma).min(axis=1)
 
     def one(self, x: np.ndarray) -> float:
-        """Value at the point ``x`` of shape (d,).
-
-        A single component takes the same steps on the vector itself, which
-        skips the cost of the stacked axes on the hot path of optimizers
-        that evaluate one point at a time.
-        """
+        """Value at the point ``x`` of shape (d,): the one-row case."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ValueError(f"x must have shape ({self.dim},), got {x.shape}")
-        if not self.single:
-            return float(self(x[None])[0])
-        z = x - self.centers[0]
-        if self.rotated is not None:
-            z = self.rotations[0] @ z
-        if not np.isfinite(z).all():
-            raise ValueError("transform input must be finite")
-        if self.transformed is not None:
-            z = modulate(z, self.mu, self.omega)
-        q = float(np.dot(z * self.h[0], z))
-        for _, lam in self.powered:
-            q = q**lam
-        return self.optimum_value + q  # the one component's sigma
+        return float(self(x[None])[0])
 
 
 def eval_component(comp: Component, x: np.ndarray) -> float:
@@ -258,7 +237,7 @@ class ProblemInstance:
 
 
 def evaluate(instance: ProblemInstance, x: np.ndarray) -> float:
-    """Objective value: minimum over all components.  The n = 1 case of
+    """Objective value: minimum over all components.  The one-row case of
     ``evaluate_batch``, with the same bits."""
     return instance._kernel.one(x)
 
@@ -383,17 +362,8 @@ class BudgetedEvaluator:
         return self.best_value - self.instance.optimum_value
 
     def __call__(self, x: np.ndarray) -> float:
-        if self.fe_used >= self.max_fe:
-            raise BudgetExhaustedError(
-                f"evaluation budget of {self.max_fe} exhausted"
-            )
-        self.fe_used += 1
-        value = evaluate(self.instance, x)
-        if value < self.best_value:
-            self.best_value = value
-            self.best_position = np.array(x, dtype=float)
-            self.history.append((self.fe_used, self.best_error))
-        return value
+        """Charge one FE for the point ``x``: the one-row case of ``batch``."""
+        return float(self.batch(np.asarray(x, dtype=float)[None])[0])
 
     def batch(
         self,
@@ -401,8 +371,9 @@ class BudgetedEvaluator:
         threshold: float | None = None,
         stop_below: float | None = None,
     ) -> np.ndarray:
-        """Evaluate the rows of ``X`` as that many successive calls would, in
-        one kernel call, and return the values of the rows charged.
+        """Evaluate the rows of ``X`` as that many successive one-point
+        charges would, in one kernel call, and return the values of the rows
+        charged.
 
         Charging stops after the row that uses up the budget, after the row
         that brings ``best_error`` to ``threshold`` or below, and after the

@@ -68,6 +68,13 @@ def _require(doc, key, types, where):
     return value
 
 
+def _number(doc, key, where) -> float:
+    try:
+        return float(_require(doc, key, (int, float), where))
+    except OverflowError:  # a JSON integer beyond float range
+        raise InstanceFormatError(f"{where}.{key}: number out of float range") from None
+
+
 def _vector(doc, key, dim, where):
     raw = _require(doc, key, list, where)
     if len(raw) != dim:
@@ -76,6 +83,8 @@ def _vector(doc, key, dim, where):
         if {bool, str} & set(map(type, raw)):  # float() would take true and "1.5"
             raise TypeError
         return np.array([float(v) for v in raw])
+    except OverflowError:
+        raise InstanceFormatError(f"{where}.{key}: element out of float range") from None
     except (TypeError, ValueError):
         raise InstanceFormatError(f"{where}.{key}: non-numeric element") from None
 
@@ -106,10 +115,10 @@ def parse_instance(doc: dict) -> ProblemInstance:
         where = f"components[{k}]"
         if not isinstance(raw, dict):
             raise InstanceFormatError(f"{where}: expected a JSON object")
-        sigma = float(_require(raw, "sigma", (int, float), where))
+        sigma = _number(raw, "sigma", where)
         center = _vector(raw, "m", dim, where)
         h_diag = _vector(raw, "h_diag", dim, where)
-        lam = float(_require(raw, "lambda", (int, float), where))
+        lam = _number(raw, "lambda", where)
         mu = _vector(raw, "mu", 2, where)
         omega = _vector(raw, "omega", 4, where)
         triples = []
@@ -119,7 +128,7 @@ def parse_instance(doc: dict) -> ProblemInstance:
                 raise InstanceFormatError(f"{tw}: expected a JSON object")
             p = _require(entry, "p", int, tw)
             q = _require(entry, "q", int, tw)
-            angle = float(_require(entry, "angle", (int, float), tw))
+            angle = _number(entry, "angle", tw)
             triples.append((p, q, angle))
         rotation = None
         if "rotation" in raw:

@@ -230,6 +230,27 @@ class TestBooleansRejected:
         assert inst.optimum_position.tolist() == [1.0, 2.0]
 
 
+class TestOutOfRangeRejected:
+    """A JSON integer beyond float range is a data error naming the field."""
+
+    @pytest.mark.parametrize("mutate,message", [
+        (_set_field("sigma", 10**400), "components[0].sigma: number out of float range"),
+        (_set_field("lambda", 10**400), "components[0].lambda: number out of float range"),
+        (_theta_triple(angle=-(10**400)), "theta[0].angle: number out of float range"),
+        (_set_field("m", [10**400, 0]), "components[0].m: element out of float range"),
+    ], ids=["sigma", "lambda", "angle", "m"])
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_cli_exits_2_naming_the_field(self, tmp_path, capsys, mutate, message, command):
+        doc = serialize_instance(_sphere_2d())
+        mutate(doc)
+        path = tmp_path / "huge.gnbg.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 class TestExportGrid:
     def test_corner_value_matches_arithmetic(self):
         doc = export_grid(_sphere_2d(), 0, 1, 3, np.zeros(2))
@@ -332,6 +353,32 @@ class TestCli:
         assert main(["evaluate", "--instance", str(path), "--point", str(point)]) == 0
         expected = "".join(repr(evaluate(inst, x)) + "\n" for x in X)
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("sep", [" ", ", "])
+    def test_evaluate_rows_file_is_one_point_per_line(self, tmp_path, capsys, sep):
+        inst = suite_instance(1, seed=0)
+        path = tmp_path / "f1.gnbg.json"
+        path.write_text(dump_instance(inst))
+        X = np.random.default_rng(6).uniform(inst.lower, inst.upper, size=(2, inst.dim))
+        point = tmp_path / "points.txt"
+        point.write_text("\n".join(sep.join(map(repr, x)) for x in X.tolist()) + "\n\n")
+        assert main(["evaluate", "--instance", str(path), "--point", str(point)]) == 0
+        assert capsys.readouterr().out.splitlines() == [repr(evaluate(inst, x)) for x in X]
+        point.write_text(sep.join(map(repr, X[1].tolist())))  # one line, no newline
+        assert main(["evaluate", "--instance", str(path), "--point", str(point)]) == 0
+        assert capsys.readouterr().out == repr(evaluate(inst, X[1])) + "\n"
+
+    @pytest.mark.parametrize("text,values", [("3", ["9.0"]), ("3\n-1\n", ["9.0", "1.0"])],
+                             ids=["json-number", "rows"])
+    def test_evaluate_one_coordinate_points(self, tmp_path, capsys, text, values):
+        comp = Component(np.zeros(1), 0.0, np.ones(1))
+        path = tmp_path / "line.gnbg.json"
+        inst = ProblemInstance(1, np.full(1, -5.0), np.full(1, 5.0), (comp,))
+        path.write_text(dump_instance(inst))
+        point = tmp_path / "points.txt"
+        point.write_text(text)
+        assert main(["evaluate", "--instance", str(path), "--point", str(point)]) == 0
+        assert capsys.readouterr().out.splitlines() == values
 
     def test_run_emits_csv(self, capsys):
         code = main(["run", "--suite", "1", "--optimizer", "de", "--runs", "2",

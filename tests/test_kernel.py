@@ -216,16 +216,31 @@ class TestEvaluateBatch:
         assert evaluate(again, x) == evaluate(inst, x)
 
 
+def charge_one(ev, x):
+    """The scalar charging oracle: one FE for the point ``x`` on the
+    evaluator ``ev``, with its budget check and its best-value, best-position
+    and history bookkeeping written out for one point."""
+    if ev.fe_used >= ev.max_fe:
+        raise BudgetExhaustedError(f"evaluation budget of {ev.max_fe} exhausted")
+    ev.fe_used += 1
+    value = evaluate(ev.instance, x)
+    if value < ev.best_value:
+        ev.best_value = value
+        ev.best_position = np.array(x, dtype=float)
+        ev.history.append((ev.fe_used, ev.best_error))
+    return value
+
+
 def _scalar_replay(instance, X, max_fe, threshold=None, stop_below=None, warmup=()):
     """What successive scalar calls do: charge, then stop where the batch
     method documents it stops."""
     ev = BudgetedEvaluator(instance, max_fe)
     for x in warmup:
-        ev(x)
+        charge_one(ev, x)
     for x in X:
         if ev.fe_used >= ev.max_fe:
             break
-        value = ev(x)
+        value = charge_one(ev, x)
         if threshold is not None and ev.best_error <= threshold:
             break
         if stop_below is not None and value < stop_below:
@@ -279,3 +294,21 @@ class TestBudgetedBatch:
         assert ev.fe_used == first + 2
         replay = _scalar_replay(self.inst, self.X[1:], 100, stop_below=f0, warmup=self.X[:1])
         assert _state(ev) == _state(replay)
+
+    @pytest.mark.parametrize("k", [1, 9, 24])
+    def test_one_point_call_is_the_scalar_oracle(self, k):
+        """``ev(x)`` leaves the state one scalar charge leaves, up to and
+        past the budget."""
+        inst = suite_instance(k, 0)
+        X = np.random.default_rng(k).uniform(-100, 100, size=(12, inst.dim))
+        X[7] = inst.optimum_position  # an improvement after several others
+        ev, oracle = BudgetedEvaluator(inst, 10), BudgetedEvaluator(inst, 10)
+        for x in X[:10]:
+            assert ev(x) == charge_one(oracle, x)
+            assert _state(ev) == _state(oracle)
+        for x in X[10:]:
+            with pytest.raises(BudgetExhaustedError):
+                ev(x)
+            with pytest.raises(BudgetExhaustedError):
+                charge_one(oracle, x)
+            assert _state(ev) == _state(oracle)

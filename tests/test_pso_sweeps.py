@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from gnbg.core import BudgetedEvaluator, BudgetExhaustedError
 from gnbg.generators import SUITE_SIZE, suite_instance
 from gnbg.optimizers import DEFAULT_THRESHOLD, OptimizerConfig, _finish, pso
-from test_kernel import random_instances
+from test_kernel import charge_one, random_instances
 
 MILESTONES = (100, 333)
 
@@ -31,7 +31,7 @@ def oracle_pso(evaluator, cfg, threshold=DEFAULT_THRESHOLD, milestones=()):
     n = cfg.population
 
     def tracked(x):
-        value = evaluator(x)
+        value = charge_one(evaluator, x)
         if evaluator.best_error <= threshold:
             raise _Stop
         return value
