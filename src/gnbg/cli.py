@@ -34,6 +34,7 @@ from .instance_io import (
     dump_instance,
     export_grid,
     load_instance,
+    load_points,
     report_to_dict,
 )
 from .optimizers import OptimizerConfig
@@ -71,21 +72,9 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _read_instance(path: str):
+def _read(path: str) -> str:
     with open(path) as fh:
-        return load_instance(fh.read())
-
-
-def _read_points(path: str) -> np.ndarray:
-    """Rows of a JSON array, or of a text file with one point per line."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        data = [[float(tok) for tok in line.replace(",", " ").split()]
-                for line in text.splitlines() if line.strip()]
-    return np.atleast_2d(np.asarray(data, dtype=float))
+        return fh.read()
 
 
 def _number_list(flag: str, raw: str, kind) -> list:
@@ -211,12 +200,8 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    instance = _read_instance(args.instance)
-    points = _read_points(args.point)
-    if points.shape[1] != instance.dim:
-        raise InstanceFormatError(
-            f"point: expected {instance.dim} coordinates, got {points.shape[1]}"
-        )
+    instance = load_instance(_read(args.instance))
+    points = load_points(_read(args.point), instance.dim, args.point)
     for value in evaluate_batch(instance, points).tolist():
         sys.stdout.write(repr(value) + "\n")
     return EXIT_OK
@@ -257,7 +242,7 @@ def _cmd_run(args) -> int:
     if (args.instance is None) == (args.suite is None):
         raise _UsageError("exactly one of --instance / --suite is required")
     if args.instance is not None:
-        instance = _read_instance(args.instance)
+        instance = load_instance(_read(args.instance))
     else:
         instance = suite_instance(args.suite, args.instance_seed)
     spec = _spec(args, instance, _seed_or_env(args))
@@ -276,9 +261,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    instance = _read_instance(args.instance)
+    instance = load_instance(_read(args.instance))
     if args.fixed is not None:
-        fixed = _read_points(args.fixed)[0]
+        fixed, *more = load_points(_read(args.fixed), instance.dim, args.fixed)
+        if more:
+            raise InstanceFormatError(f"{args.fixed}: expected one point, got {1 + len(more)}")
     else:
         fixed = instance.optimum_position
     doc = export_grid(instance, args.i, args.j, args.resolution, fixed)
@@ -287,13 +274,13 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    record = classify(_read_instance(args.instance))
+    record = classify(load_instance(_read(args.instance)))
     sys.stdout.write(json.dumps(record, indent=2) + "\n")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    instance = _read_instance(args.instance)
+    instance = load_instance(_read(args.instance))
     problems = []
     gap = evaluate(instance, instance.optimum_position) - instance.optimum_value
     if not abs(gap) <= 1e-9:

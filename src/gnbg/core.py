@@ -264,22 +264,18 @@ def evaluate_batch(instance: ProblemInstance, X: np.ndarray) -> np.ndarray:
     return np.concatenate([kernel(X[a:a + rows]) for a in range(0, len(X), rows)])
 
 
-def dominated_components(instance: ProblemInstance, tol: float | None = None) -> list[int]:
+def dominated_components(instance: ProblemInstance) -> list[int]:
     """Indices of components whose center is covered by another basin.
 
     Component k is dominated when the full landscape dips below its floor at
-    its own center: f(m_k) < sigma_k - tol.  Dominated components add cost
-    but no landscape structure.
+    its own center: f(m_k) < sigma_k - 1e-12 max(1, |sigma_k|).  Dominated
+    components add cost but no landscape structure.
     """
-    if tol is not None and tol < 0:
-        raise ValueError("tol must be >= 0")
     at_centers = evaluate_batch(instance, instance._kernel.centers).tolist()
-    out = []
-    for k, comp in enumerate(instance.components):
-        t = tol if tol is not None else 1e-12 * max(1.0, abs(comp.sigma))
-        if at_centers[k] < comp.sigma - t:
-            out.append(k)
-    return out
+    return [
+        k for k, comp in enumerate(instance.components)
+        if at_centers[k] < comp.sigma - 1e-12 * max(1.0, abs(comp.sigma))
+    ]
 
 
 def _separability(instance: ProblemInstance) -> str:

@@ -73,6 +73,8 @@ def gen_conditioning(
     """
     if cond < 1:
         raise ValueError(f"condition number must be >= 1, got {cond}")
+    if cond > 1 and cfg.dim == 1:
+        raise ValueError(f"a 1-D diagonal has condition number 1, got {cond}")
     alpha, beta = alpha_beta
     rng = _stream(cfg.seed, "conditioning", "h")
     a, b = 1.0, float(cond)

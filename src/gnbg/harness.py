@@ -40,6 +40,8 @@ class ExperimentSpec:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
+        if np.isnan(self.threshold):
+            raise ValueError("threshold must not be NaN")
         ms = tuple(int(m) for m in self.milestones)
         if any(m < 1 for m in ms):
             raise ValueError("milestones must be >= 1")

@@ -1,4 +1,4 @@
-"""Instance serialization, grid export, and report emission.
+"""Instance serialization, point files, grid export, and report emission.
 
 Instances persist as JSON documents (``*.gnbg.json``) holding every symbol
 needed to rebuild the landscape exactly: interaction angles are stored
@@ -75,18 +75,23 @@ def _number(doc, key, where) -> float:
         raise InstanceFormatError(f"{where}.{key}: number out of float range") from None
 
 
-def _vector(doc, key, dim, where):
-    raw = _require(doc, key, list, where)
-    if len(raw) != dim:
-        raise InstanceFormatError(f"{where}.{key}: expected {dim} elements, got {len(raw)}")
+def _floats(raw: list, dim: int, where: str) -> np.ndarray:
+    """``dim`` numbers from a JSON list: the one rule for every number a file holds."""
     try:
         if {bool, str} & set(map(type, raw)):  # float() would take true and "1.5"
             raise TypeError
-        return np.array([float(v) for v in raw])
+        values = np.array([float(v) for v in raw])
     except OverflowError:
-        raise InstanceFormatError(f"{where}.{key}: element out of float range") from None
+        raise InstanceFormatError(f"{where}: element out of float range") from None
     except (TypeError, ValueError):
-        raise InstanceFormatError(f"{where}.{key}: non-numeric element") from None
+        raise InstanceFormatError(f"{where}: non-numeric element") from None
+    if len(values) != dim:
+        raise InstanceFormatError(f"{where}: expected {dim} elements, got {len(values)}")
+    return values
+
+
+def _vector(doc, key, dim, where):
+    return _floats(_require(doc, key, list, where), dim, f"{where}.{key}")
 
 
 def parse_instance(doc: dict) -> ProblemInstance:
@@ -163,6 +168,25 @@ def load_instance(text: str) -> ProblemInstance:
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"document: invalid JSON ({exc})") from None
     return parse_instance(doc)
+
+
+def load_points(text: str, dim: int, where: str) -> np.ndarray:
+    """Points of ``dim`` coordinates from a JSON array of rows, one JSON array
+    or number, or text with one point per line; errors name ``where`` and the row."""
+    try:
+        rows = json.loads(text)
+    except json.JSONDecodeError:
+        rows, lines = [], [line for line in text.splitlines() if line.strip()]
+        for i, line in enumerate(lines, 1):
+            try:
+                rows.append([float(tok) for tok in line.replace(",", " ").split()])
+            except ValueError:
+                raise InstanceFormatError(f"{where}: row {i}: non-numeric element") from None
+    if not isinstance(rows, list):
+        rows = [[rows]]
+    elif not rows or not all(isinstance(row, list) for row in rows):
+        rows = [rows]
+    return np.array([_floats(row, dim, f"{where}: row {i}") for i, row in enumerate(rows, 1)])
 
 
 def export_grid(

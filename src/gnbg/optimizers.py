@@ -21,33 +21,19 @@ DEFAULT_THRESHOLD = 1e-8
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Per-algorithm knobs; each optimizer reads only its own group."""
+    """Which optimizer, its seed and population.  Each optimizer's fixed
+    parameters are module constants next to it: ``INITIAL_MESH_FRACTION``,
+    ``EXPAND``, ``CONTRACT`` (PS); ``C1``, ``C2``, ``CHI`` (PSO); ``F_WEIGHT``, ``CR`` (DE)."""
 
     kind: str = "ps"
     seed: int = 0
     population: int = 100
-    # pattern search: initial mesh as a fraction of the box width, with the
-    # expansion capped at that initial size
-    initial_mesh_fraction: float = 0.1
-    expand: float = 2.0
-    contract: float = 0.5
-    # PSO constriction model
-    c1: float = 2.05
-    c2: float = 2.05
-    chi: float = 0.729843788
-    # DE/rand/1/bin
-    f_weight: float = 0.5
-    cr: float = 0.9
 
     def __post_init__(self):
         if self.kind not in ("ps", "pso", "de"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         if self.population < 1:
             raise ValueError(f"population must be >= 1, got {self.population}")
-        if not 0 < self.initial_mesh_fraction <= 1:
-            raise ValueError("initial_mesh_fraction must be in (0, 1]")
-        if not 0 < self.contract < 1 or self.expand < 1:
-            raise ValueError("require 0 < contract < 1 and expand >= 1")
 
 
 @dataclass(frozen=True)
@@ -97,6 +83,11 @@ def _finish(evaluator, threshold, milestones) -> RunResult:
     )
 
 
+INITIAL_MESH_FRACTION = 0.1
+EXPAND = 2.0
+CONTRACT = 0.5
+
+
 def pattern_search(
     evaluator: BudgetedEvaluator,
     cfg: OptimizerConfig,
@@ -106,18 +97,19 @@ def pattern_search(
     """Coordinate-direction pattern search with an adaptive mesh.
 
     Polls the 2d directions +-e_i in a freshly randomized order each
-    iteration, moves on the first improvement, contracts the mesh after a
-    fully failed poll and re-expands it (capped at the initial size) after
-    a success.  A poll's points are evaluated in blocks of d // 2 (at least
-    one; the whole poll for a single component), up to the block holding
-    the first improvement; FEs are charged in poll order up to it only.
+    iteration, moves on the first improvement, contracts the mesh by CONTRACT
+    after a fully failed poll and re-expands it by EXPAND (capped at the
+    initial INITIAL_MESH_FRACTION of the box width) after a success.  A
+    poll's points are evaluated in blocks of d // 2 (at least one; the whole
+    poll for a single component), up to the block holding the first
+    improvement; FEs are charged in poll order up to it only.
     """
     rng = np.random.default_rng(cfg.seed)
     lower, upper = evaluator.instance.bounds
     d = evaluator.instance.dim
     tracked_rows = _make_tracked(evaluator, threshold)
 
-    initial_mesh = cfg.initial_mesh_fraction * (upper - lower)
+    initial_mesh = INITIAL_MESH_FRACTION * (upper - lower)
     mesh = initial_mesh.copy()
     rows = np.arange(2 * d)
     # rows of a single component cost so little next to a kernel call that a
@@ -135,13 +127,18 @@ def pattern_search(
                 values = tracked_rows(polls[start : start + block], stop_below=fx)
                 if values[-1] < fx:
                     x, fx = polls[start + len(values) - 1], float(values[-1])
-                    mesh = np.minimum(mesh * cfg.expand, initial_mesh)
+                    mesh = np.minimum(mesh * EXPAND, initial_mesh)
                     break
             else:
-                mesh = mesh * cfg.contract
+                mesh = mesh * CONTRACT
     except _StopSearch:
         pass
     return _finish(evaluator, threshold, milestones)
+
+
+C1 = 2.05
+C2 = 2.05
+CHI = 0.729843788
 
 
 def pso(
@@ -150,9 +147,9 @@ def pso(
     threshold: float = DEFAULT_THRESHOLD,
     milestones: tuple[int, ...] = (),
 ) -> RunResult:
-    """Constriction-factor PSO with a global-star neighborhood.
+    """Constriction-factor PSO (Clerc & Kennedy, 2002), global-star neighborhood.
 
-    v <- chi * (v + c1 r1 (pbest - x) + c2 r2 (gbest - x)), element-wise
+    v <- CHI * (v + C1 r1 (pbest - x) + C2 r2 (gbest - x)), element-wise
     uniform r1, r2.  Uniform init in the box, zero initial velocity, no
     velocity clamp; positions are clamped to the box; gbest moves as soon as
     a particle beats it.  The initial swarm is one batch; each sweep is
@@ -181,10 +178,10 @@ def pso(
             while i < n:
                 # particles i.. all follow pbest[g]; charging stops at the
                 # first one that beats it, the only one that moves g
-                v = cfg.chi * (
+                v = CHI * (
                     vel[i:]
-                    + cfg.c1 * r1[i:] * (pbest[i:] - pos[i:])
-                    + cfg.c2 * r2[i:] * (pbest[g] - pos[i:])
+                    + C1 * r1[i:] * (pbest[i:] - pos[i:])
+                    + C2 * r2[i:] * (pbest[g] - pos[i:])
                 )
                 x = np.clip(pos[i:] + v, lower, upper)
                 values = tracked_rows(x, stop_below=pbest_val[g])
@@ -199,16 +196,20 @@ def pso(
     return _finish(evaluator, threshold, milestones)
 
 
+F_WEIGHT = 0.5
+CR = 0.9
+
+
 def de(
     evaluator: BudgetedEvaluator,
     cfg: OptimizerConfig,
     threshold: float = DEFAULT_THRESHOLD,
     milestones: tuple[int, ...] = (),
 ) -> RunResult:
-    """DE/rand/1/bin with synchronous generation update.
+    """DE/rand/1/bin (Storn & Price, 1997) with synchronous generation update.
 
-    Mutant = x_r1 + F (x_r2 - x_r3) with distinct donors excluding the
-    target; binomial crossover at rate Cr with one forced coordinate;
+    Mutant = x_r1 + F_WEIGHT (x_r2 - x_r3) with distinct donors excluding
+    the target; binomial crossover at rate CR with one forced coordinate;
     greedy one-to-one selection.  Each generation's trials are evaluated
     in one batch.
     """
@@ -230,10 +231,10 @@ def de(
                 # three distinct indices other than i, drawn as from the n - 1 others
                 r = rng.choice(n - 1, size=3, replace=False)
                 donors[i] = r + (r >= i)
-                cross[i] = rng.uniform(size=d) < cfg.cr
+                cross[i] = rng.uniform(size=d) < CR
                 cross[i, int(rng.integers(d))] = True
             r1, r2, r3 = donors.T
-            mutants = pop[r1] + cfg.f_weight * (pop[r2] - pop[r3])
+            mutants = pop[r1] + F_WEIGHT * (pop[r2] - pop[r3])
             trials = np.clip(np.where(cross, mutants, pop), lower, upper)
             trial_values = tracked_rows(trials)
             better = trial_values <= values

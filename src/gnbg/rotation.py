@@ -43,10 +43,6 @@ class ThetaSpec:
         object.__setattr__(self, "angles", angles)
 
     @classmethod
-    def zeros(cls, dim: int) -> "ThetaSpec":
-        return cls(dim, np.zeros((dim, dim)))
-
-    @classmethod
     def from_triples(cls, dim: int, triples) -> "ThetaSpec":
         """Build from an iterable of 1-indexed (p, q, angle) triples."""
         angles = np.zeros((dim, dim))
@@ -103,42 +99,29 @@ def orthogonality_error(r: np.ndarray) -> float:
 def random_theta(
     dim: int,
     p_prob: float,
-    angle_source=( -np.pi, np.pi),
-    rng: np.random.Generator | None = None,
+    angle_range: tuple[float, float],
+    rng: np.random.Generator,
 ) -> ThetaSpec:
     """Random interaction structure: each above-diagonal entry independently
-    receives a nonzero angle with probability ``p_prob``, else stays zero.
-
-    ``angle_source`` is either a (lo, hi) tuple for uniform sampling or a
-    list of discrete angle values to pick from.  p_prob = 0 gives a fully
+    receives a nonzero angle, uniform over ``angle_range`` = (lo, hi), with
+    probability ``p_prob``, else stays zero.  p_prob = 0 gives a fully
     separable structure, p_prob = 1 a fully connected one.
     """
     if not 0.0 <= p_prob <= 1.0:
         raise ValueError(f"p_prob must be in [0, 1], got {p_prob}")
-    if rng is None:
-        rng = np.random.default_rng()
-    uniform = isinstance(angle_source, tuple)
-    if uniform:
-        lo, hi = angle_source
-        if not lo < hi:
-            raise ValueError(f"uniform angle range requires lo < hi, got ({lo}, {hi})")
+    lo, hi = angle_range
+    if not lo < hi:
+        raise ValueError(f"uniform angle range requires lo < hi, got ({lo}, {hi})")
 
     angles = np.zeros((dim, dim))
     for p in range(dim - 1):
         for q in range(p + 1, dim):
             if p_prob == 1.0 or rng.uniform() < p_prob:
-                angles[p, q] = _draw_angle(rng, angle_source, uniform)
+                angle = rng.uniform(lo, hi)
+                while angle == 0.0:  # measure zero, but nonzero is contractual
+                    angle = rng.uniform(lo, hi)
+                angles[p, q] = angle
     return ThetaSpec(dim, angles)
-
-
-def _draw_angle(rng, angle_source, uniform):
-    if uniform:
-        lo, hi = angle_source
-        angle = rng.uniform(lo, hi)
-        while angle == 0.0:  # measure zero, but nonzero is contractual
-            angle = rng.uniform(lo, hi)
-        return angle
-    return angle_source[int(rng.integers(len(angle_source)))]
 
 
 def full_theta(dim: int, angle: float) -> ThetaSpec:

@@ -59,6 +59,12 @@ class TestGenConditioning:
         with pytest.raises(ValueError):
             gen_conditioning(0.5)
 
+    def test_one_dimension_has_condition_one(self):
+        with pytest.raises(ValueError, match="condition number 1"):
+            gen_conditioning(10.0, cfg=ScenarioConfig(dim=1))
+        inst = gen_conditioning(1.0, cfg=ScenarioConfig(dim=1))
+        assert inst.components[0].h_diag.tolist() == [1.0]
+
 
 class TestGenInteraction:
     def test_zero_probability_unrotated(self):

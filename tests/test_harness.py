@@ -34,6 +34,10 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             _spec(milestones=(10_000, 10_000), budget=30_000)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="threshold"):
+            _spec(threshold=float("nan"))
+
     @pytest.mark.parametrize("milestones", [(0, 10_000), (-5, 10_000)])
     def test_nonpositive_milestone_rejected(self, milestones):
         with pytest.raises(ValueError, match="milestones must be >= 1"):

@@ -1,5 +1,6 @@
 """Tests for serialization, grid export, report emission, and the CLI."""
 
+import csv
 import json
 from importlib import resources
 
@@ -251,6 +252,33 @@ class TestOutOfRangeRejected:
         assert message in captured.err
 
 
+class TestPointFiles:
+    """Point files hold numbers only; errors name the file and the row."""
+
+    @pytest.mark.parametrize("text,message", [
+        ("1 2\n3\n", "row 2: expected 2 elements, got 1"),
+        ("[[1, 2], [3]]", "row 2: expected 2 elements, got 1"),
+        ('{"a": 1}', "row 1: non-numeric element"),
+        ('["1", true]', "row 1: non-numeric element"),
+        ("[[1, 2], [3, true]]", "row 2: non-numeric element"),
+        ("[[1, 2], [3, [4]]]", "row 2: non-numeric element"),
+        ("[1, null]", "row 1: non-numeric element"),
+        ("1 2\n3 x\n", "row 2: non-numeric element"),
+        (f"[1, {10**400}]", "row 1: element out of float range"),
+        ("[1, 2, 3]", "row 1: expected 2 elements, got 3"),
+    ], ids=["ragged-text", "ragged-json", "object", "string-and-bool", "bool-in-row",
+            "nested", "null", "text-token", "int-overflow", "one-point-too-long"])
+    def test_evaluate_rejects(self, tmp_path, capsys, text, message):
+        path = tmp_path / "inst.gnbg.json"
+        path.write_text(dump_instance(_sphere_2d()))
+        point = tmp_path / "points.txt"
+        point.write_text(text)
+        assert main(["evaluate", "--instance", str(path), "--point", str(point)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{point}: {message}" in captured.err
+
+
 class TestExportGrid:
     def test_corner_value_matches_arithmetic(self):
         doc = export_grid(_sphere_2d(), 0, 1, 3, np.zeros(2))
@@ -380,6 +408,41 @@ class TestCli:
         assert main(["evaluate", "--instance", str(path), "--point", str(point)]) == 0
         assert capsys.readouterr().out.splitlines() == values
 
+    def test_conditioning_above_one_at_one_dimension_is_data_error(self, capsys):
+        assert main(["generate", "--scenario", "conditioning", "--value", "10",
+                     "--dim", "1"]) == 2
+        assert "condition number 1" in capsys.readouterr().err
+        assert main(["generate", "--scenario", "conditioning", "--value", "1",
+                     "--dim", "1"]) == 0
+
+    def test_nan_threshold_is_data_error(self, capsys):
+        assert main(["run", "--suite", "1", "--optimizer", "ps", "--runs", "1",
+                     "--budget", "50", "--milestones", "50", "--threshold", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold" in captured.err
+
+    def test_sweep_json_report_matches_csv(self, tmp_path, capsys):
+        csv_path, json_path = tmp_path / "report.csv", tmp_path / "report.json"
+        assert main(["sweep", "--scenario", "linearity", "--values", "1.0,0.5,0.75",
+                     "--optimizer", "ps", "--runs", "3", "--budget", "400",
+                     "--milestones", "100,400", "--threshold", "1e4", "--seed", "0",
+                     "--csv", str(csv_path), "--json", str(json_path)]) == 0
+        rows = list(csv.DictReader(csv_path.read_text().splitlines()))
+        records = json.loads(json_path.read_text())
+        assert [str(r["knob"]) for r in records] == [row["knob"] for row in rows]
+        assert [row["knob"] for row in rows] == ["1.0", "0.5", "0.75"]
+        for record, row in zip(records, rows):
+            runs = record["run_results"]
+            assert len(runs) == record["runs"] == 3
+            assert all(run["fe_used"] <= 400 for run in runs)
+            successes = [run["success"] for run in runs]
+            assert record["success_rate"] == 100.0 * sum(successes) / len(successes)
+            assert float(row["success_rate"]) == record["success_rate"]
+            for n, m in enumerate(record["milestones"], 1):
+                mean = np.mean([run["milestone_errors"][str(m)] for run in runs])
+                assert float(row[f"mean_err_m{n}"]) == record["mean_errors"][str(m)] == mean
+
     def test_run_emits_csv(self, capsys):
         code = main(["run", "--suite", "1", "--optimizer", "de", "--runs", "2",
                      "--budget", "2000", "--milestones", "2000", "--seed", "0"])
@@ -413,6 +476,19 @@ class TestCli:
                      "--milestones", "50", "--seed", "0"]) == 0
         assert built == [0.5, 1.0]
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_grid_fixed_file_holds_one_point(self, tmp_path, capsys):
+        path = tmp_path / "inst.gnbg.json"
+        path.write_text(dump_instance(_sphere_2d()))
+        fixed = tmp_path / "fixed.txt"
+        fixed.write_text("1 2\n3 4\n")
+        argv = ["grid", "--instance", str(path), "--i", "0", "--j", "1",
+                "--resolution", "2", "--fixed", str(fixed)]
+        assert main(argv) == 2
+        assert f"{fixed}: expected one point, got 2" in capsys.readouterr().err
+        fixed.write_text("1 2\n")
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["fixed"] == [1.0, 2.0]
 
     def test_grid_command(self, tmp_path, capsys):
         path = tmp_path / "inst.gnbg.json"

@@ -1,8 +1,11 @@
 """Tests for the three baseline minimizers and their accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from gnbg import optimizers
 from gnbg.core import BudgetedEvaluator, BudgetExhaustedError, Component, ProblemInstance
 from gnbg.generators import SUITE_SIZE, gen_linearity, suite_instance
 from gnbg.optimizers import OptimizerConfig, de, pattern_search, pso, run_optimizer
@@ -17,9 +20,13 @@ def _quadratic_1d(center=3.0):
 class TestOptimizerConfig:
     def test_defaults(self):
         cfg = OptimizerConfig()
-        assert cfg.c1 == cfg.c2 == 2.05
-        assert cfg.chi == 0.729843788
+        assert optimizers.C1 == optimizers.C2 == 2.05
+        assert optimizers.CHI == 0.729843788
         assert cfg.population == 100
+
+    def test_fields_are_kind_seed_population(self):
+        names = [f.name for f in dataclasses.fields(OptimizerConfig)]
+        assert names == ["kind", "seed", "population"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -77,7 +84,7 @@ def oracle_pattern_search(evaluator, cfg, threshold):
             raise _Stop
         return value
 
-    initial_mesh = cfg.initial_mesh_fraction * (upper - lower)
+    initial_mesh = 0.1 * (upper - lower)
     mesh = initial_mesh.copy()
     try:
         x = rng.uniform(lower, upper)
@@ -90,10 +97,10 @@ def oracle_pattern_search(evaluator, cfg, threshold):
                 value = tracked(y)
                 if value < fx:
                     x, fx = y, value
-                    mesh = np.minimum(mesh * cfg.expand, initial_mesh)
+                    mesh = np.minimum(mesh * 2.0, initial_mesh)
                     break
             else:
-                mesh = mesh * cfg.contract
+                mesh = mesh * 0.5
     except (_Stop, BudgetExhaustedError):
         pass
 

@@ -46,10 +46,10 @@ def oracle_pso(evaluator, cfg, threshold=DEFAULT_THRESHOLD, milestones=()):
             for i in range(n):
                 r1 = rng.uniform(size=d)
                 r2 = rng.uniform(size=d)
-                vel[i] = cfg.chi * (
+                vel[i] = 0.729843788 * (
                     vel[i]
-                    + cfg.c1 * r1 * (pbest[i] - pos[i])
-                    + cfg.c2 * r2 * (pbest[g] - pos[i])
+                    + 2.05 * r1 * (pbest[i] - pos[i])
+                    + 2.05 * r2 * (pbest[g] - pos[i])
                 )
                 pos[i] = np.clip(pos[i] + vel[i], lower, upper)
                 value = tracked(pos[i])
