@@ -85,6 +85,8 @@ def _floats(raw: list, dim: int, where: str) -> np.ndarray:
         raise InstanceFormatError(f"{where}: element out of float range") from None
     except (TypeError, ValueError):
         raise InstanceFormatError(f"{where}: non-numeric element") from None
+    if not np.isfinite(values).all():  # JSON NaN, text nan/inf, or 1e400 read as inf
+        raise InstanceFormatError(f"{where}: non-finite element")
     if len(values) != dim:
         raise InstanceFormatError(f"{where}: expected {dim} elements, got {len(values)}")
     return values

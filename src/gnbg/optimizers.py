@@ -200,6 +200,21 @@ F_WEIGHT = 0.5
 CR = 0.9
 
 
+def _de_draws(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """One generation's draws, as ``de`` documents them: each target's
+    donors (r1, r2, r3) and its crossover mask."""
+    keys = rng.random((n, n - 1))
+    # argpartition leaves the order of the three smallest undefined; the
+    # triple is uniform only when they are taken in key order
+    r = np.argpartition(keys, 2, axis=1)[:, :3]
+    r = np.take_along_axis(r, np.take_along_axis(keys, r, axis=1).argsort(axis=1), axis=1)
+    targets = np.arange(n)
+    donors = r + (r >= targets[:, None])  # shift past the target
+    cross = rng.random((n, d)) < CR
+    cross[targets, rng.integers(d, size=n)] = True
+    return donors, cross
+
+
 def de(
     evaluator: BudgetedEvaluator,
     cfg: OptimizerConfig,
@@ -210,8 +225,13 @@ def de(
 
     Mutant = x_r1 + F_WEIGHT (x_r2 - x_r3) with distinct donors excluding
     the target; binomial crossover at rate CR with one forced coordinate;
-    greedy one-to-one selection.  Each generation's trials are evaluated
-    in one batch.
+    greedy one-to-one selection.  Each generation draws its randomness in
+    three calls: an (n, n - 1) array of uniform keys, whose three smallest
+    per row, ordered by key and shifted past the target, are (r1, r2, r3),
+    so every ordered triple of distinct non-target indices is equally
+    likely; an (n, d) uniform array, below CR where the trial takes the
+    mutant; and n integers in [0, d), each target's forced coordinate.
+    Each generation's trials are evaluated in one batch.
     """
     if cfg.population < 4:
         raise ValueError(f"population must be >= 4 for DE, got {cfg.population}")
@@ -222,17 +242,10 @@ def de(
     tracked_rows = _make_tracked(evaluator, threshold)
 
     pop = rng.uniform(lower, upper, size=(n, d))
-    donors = np.empty((n, 3), dtype=np.intp)
-    cross = np.empty((n, d), dtype=bool)
     try:
         values = tracked_rows(pop)
         while True:
-            for i in range(n):
-                # three distinct indices other than i, drawn as from the n - 1 others
-                r = rng.choice(n - 1, size=3, replace=False)
-                donors[i] = r + (r >= i)
-                cross[i] = rng.uniform(size=d) < CR
-                cross[i, int(rng.integers(d))] = True
+            donors, cross = _de_draws(rng, n, d)
             r1, r2, r3 = donors.T
             mutants = pop[r1] + F_WEIGHT * (pop[r2] - pop[r3])
             trials = np.clip(np.where(cross, mutants, pop), lower, upper)

@@ -43,7 +43,7 @@ RUN_SEED = 3
 # the threshold FE (mid-poll, mid-swarm, mid-generation) is pinned too
 THRESHOLD_RUNS = (
     (1, "ps", 1e3), (1, "pso", 2e4), (1, "de", 6e4),
-    (24, "ps", 225.0), (24, "pso", 190.0), (24, "de", 200.0),
+    (24, "ps", 225.0), (24, "pso", 190.0), (24, "de", 210.0),
 )
 SCENARIO_CFG = ScenarioConfig(seed=7)
 SCENARIOS = {
@@ -137,6 +137,17 @@ def test_instance_and_values(corpus, k, s):
 )
 def test_run(corpus, k, kind, threshold):
     assert run_record(k, kind, threshold) == corpus["runs"][f"f{k}/{kind}/{threshold!r}"]
+
+
+@pytest.mark.parametrize(
+    "k,kind,threshold", THRESHOLD_RUNS, ids=[f"f{k}-{kind}-{t!r}" for k, kind, t in THRESHOLD_RUNS]
+)
+def test_threshold_run_stops_part_way(corpus, k, kind, threshold):
+    record = corpus["runs"][f"f{k}/{kind}/{threshold!r}"]
+    assert record["success"] and record["fe_used"] < RUN_BUDGET
+    if kind == "de":  # after the initial population, mid-generation
+        n = OptimizerConfig(kind=kind).population
+        assert (record["fe_used"] - n) % n != 0
 
 
 @pytest.mark.parametrize("name", SCENARIOS)

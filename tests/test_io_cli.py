@@ -141,7 +141,8 @@ class TestNonFiniteRejected:
     @pytest.mark.parametrize("mutate,field", [
         (_set_sigma, "sigma"),
         (_set_angle, "theta"),
-        (_set_center, "center"),
+        # the element rule names the field by its file key
+        pytest.param(_set_center, "components[0].m", id="_set_center-center"),
         (_set_rotation, "rotation"),
         (_set_bounds, "bounds"),
     ])
@@ -266,8 +267,14 @@ class TestPointFiles:
         ("1 2\n3 x\n", "row 2: non-numeric element"),
         (f"[1, {10**400}]", "row 1: element out of float range"),
         ("[1, 2, 3]", "row 1: expected 2 elements, got 3"),
+        ("0 0\n1e400 0\n", "row 2: non-finite element"),
+        ("nan 0", "row 1: non-finite element"),
+        ("inf 1", "row 1: non-finite element"),
+        ("[NaN, 0]", "row 1: non-finite element"),
+        ("[[0, 0], [1e400, 0]]", "row 2: non-finite element"),
     ], ids=["ragged-text", "ragged-json", "object", "string-and-bool", "bool-in-row",
-            "nested", "null", "text-token", "int-overflow", "one-point-too-long"])
+            "nested", "null", "text-token", "int-overflow", "one-point-too-long",
+            "text-overflow", "text-nan", "text-inf", "json-nan", "json-overflow"])
     def test_evaluate_rejects(self, tmp_path, capsys, text, message):
         path = tmp_path / "inst.gnbg.json"
         path.write_text(dump_instance(_sphere_2d()))

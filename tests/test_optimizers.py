@@ -187,6 +187,97 @@ class TestDe:
         assert np.array_equal(results[0].best_position, results[1].best_position)
 
 
+def oracle_de(evaluator, cfg, threshold):
+    """DE one trial per FE, in target order, with the same three draws per
+    generation; each target's donors come from a full sort of its keys."""
+    rng = np.random.default_rng(cfg.seed)
+    lower, upper = evaluator.instance.bounds
+    d, n = evaluator.instance.dim, cfg.population
+
+    def tracked(x):
+        value = charge_one(evaluator, x)
+        if evaluator.best_error <= threshold:
+            raise _Stop
+        return value
+
+    pop = rng.uniform(lower, upper, size=(n, d))
+    try:
+        values = [tracked(x) for x in pop]
+        while True:
+            keys = rng.random((n, n - 1))
+            cross = rng.random((n, d)) < 0.9
+            forced = rng.integers(d, size=n)
+            trials = []
+            for i in range(n):
+                r1, r2, r3 = (r + (r >= i) for r in np.argsort(keys[i])[:3])
+                mutant = pop[r1] + 0.5 * (pop[r2] - pop[r3])
+                mask = cross[i].copy()
+                mask[forced[i]] = True
+                trials.append(np.clip(np.where(mask, mutant, pop[i]), lower, upper))
+            trial_values = [tracked(x) for x in trials]
+            for i in range(n):
+                if trial_values[i] <= values[i]:
+                    pop[i], values[i] = trials[i], trial_values[i]
+    except (_Stop, BudgetExhaustedError):
+        pass
+
+
+class TestDeGenerations:
+    @pytest.mark.parametrize("k", range(1, SUITE_SIZE + 1))
+    def test_matches_one_trial_at_a_time(self, k):
+        """At the budget (777 FE, mid-generation) and at a threshold taken
+        from the middle of the budget run's own history."""
+        instance, cfg = suite_instance(k, 0), OptimizerConfig(kind="de", seed=2, population=20)
+        runs = []
+        for threshold in (1e-8, None):
+            if threshold is None:
+                threshold = runs[0].history[len(runs[0].history) // 2][1]
+            expected = BudgetedEvaluator(instance, 777)
+            oracle_de(expected, cfg, threshold)
+            ev = BudgetedEvaluator(instance, 777)
+            de(ev, cfg, threshold)
+            assert _run_state(ev) == _run_state(expected)
+            runs.append(ev)
+        assert runs[0].fe_used == 777 and 20 < runs[1].fe_used < 777
+
+
+class TestDeDraws:
+    """DE's per-generation draw law, over many generations at n = 5, d = 4."""
+
+    N, D, GENERATIONS = 5, 4, 4_000
+
+    def _draws(self):
+        rng = np.random.default_rng(0)
+        draws = [optimizers._de_draws(rng, self.N, self.D) for _ in range(self.GENERATIONS)]
+        return np.stack([d for d, _ in draws]), np.stack([c for _, c in draws])
+
+    def test_donors_distinct_and_never_the_target(self):
+        donors, _ = self._draws()
+        r1, r2, r3 = np.moveaxis(donors, -1, 0)
+        assert ((r1 != r2) & (r1 != r3) & (r2 != r3)).all()
+        assert (donors != np.arange(self.N)[:, None]).all()
+        assert ((donors >= 0) & (donors < self.N)).all()
+
+    def test_ordered_triples_near_uniform(self):
+        donors, _ = self._draws()
+        expected = self.GENERATIONS / 24  # 4 * 3 * 2 ordered triples of the 4 others
+        for i in range(self.N):
+            _, counts = np.unique(donors[:, i], axis=0, return_counts=True)
+            assert len(counts) == 24
+            chi2 = ((counts - expected) ** 2 / expected).sum()
+            assert chi2 < 89.1  # the chi-square(23) quantile at p = 1e-9
+
+    def test_every_trial_takes_a_mutant_coordinate(self):
+        _, cross = self._draws()
+        assert cross.any(axis=-1).all()
+
+    def test_forced_coordinate_covers_every_axis(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "CR", 0.0)  # the forced coordinate alone
+        _, cross = self._draws()
+        assert (cross.sum(axis=-1) == 1).all()
+        assert set(np.argmax(cross, axis=-1).ravel()) == set(range(self.D))
+
+
 class TestThresholdStop:
     def test_run_stops_at_threshold(self):
         ev = BudgetedEvaluator(gen_linearity(1.0), 100_000)
