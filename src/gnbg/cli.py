@@ -291,7 +291,7 @@ def _cmd_verify(args) -> int:
     rng = np.random.default_rng(0)
     probes = rng.uniform(instance.lower, instance.upper, size=(100, instance.dim))
     a, b = evaluate_batch(instance, probes), evaluate_batch(reparsed, probes)
-    if np.any(np.abs(a - b) > 1e-15 * np.maximum(1.0, np.abs(a))):
+    if not np.array_equal(a, b):  # JSON round-trips binary64 exactly
         problems.append("round-trip evaluation mismatch")
     if problems:
         for line in problems:

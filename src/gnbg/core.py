@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .rotation import ThetaSpec, orthogonality_error, rotation_from_theta
-from .transform import TransformParams, modulate
+from .transform import TransformParams, modulate, sign_table
 from .transform import apply_transform  # noqa: F401  (still importable from gnbg.core)
 
 
@@ -134,10 +134,10 @@ class _Kernel:
         self.rotations = np.stack([components[k].rotation for k in rotated]) if rotated else None
         transformed = [k for k, c in enumerate(components) if not c.transform.is_identity]
         self.transformed = _selector(transformed)
-        # (t, 1) columns that broadcast against the (n, t, d) transform input
-        params = [components[k].transform for k in transformed]
-        table = np.array([p.mu + p.omega for p in params]).reshape(-1, 6).T[:, :, None]
-        self.mu, self.omega = tuple(table[:2]), tuple(table[2:])
+        self.signs = sign_table([components[k].transform for k in transformed])
+        # (t, 1) column of 2k, broadcast against the (n, t, d) transform input:
+        # component k's columns of the table
+        self.sign_base = 2 * np.arange(len(transformed))[:, None]
         # Python floats: float ** float is the C library's pow, which numpy's
         # vectorized power does not match to the last bit on every host
         self.powered = [(k, c.lam) for k, c in enumerate(components) if c.lam != 1.0]
@@ -155,7 +155,7 @@ class _Kernel:
             raise ValueError("transform input must be finite")
         t = self.transformed
         if t is not None:
-            Z[:, t] = modulate(Z[:, t], self.mu, self.omega)
+            Z[:, t] = modulate(Z[:, t], self.signs, self.sign_base)
         # one dot product per pair, as np.dot(t * h, t) for one point
         Q = np.matmul((Z * self.h)[:, :, None, :], Z[:, :, :, None])[:, :, 0, 0]
         for k, lam in self.powered:
@@ -312,8 +312,7 @@ def classify(instance: ProblemInstance) -> dict:
             "condition_number": c.condition_number,
             "basin_linearity": c.basin_linearity,
             "basin_local_optima": c.transform.active,
-            "symmetric": c.transform.mu[0] == c.transform.mu[1]
-            and len(set(c.transform.omega)) == 1,
+            "symmetric": c.transform.symmetric,
             "rotated": c.is_rotated,
         }
         for c in comps

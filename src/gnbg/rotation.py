@@ -70,20 +70,28 @@ def rotation_from_theta(theta_spec: ThetaSpec) -> np.ndarray:
     Iterates pairs p = 1..d-1 (outer), q = p+1..d (inner), right-multiplying
     a Givens factor for every nonzero angle.  Zero angles are skipped, so the
     all-zero spec yields the identity.
+
+    The factors of one p change column p along a chain, and each column q
+    once, from column p's value before that factor; so only the chain runs
+    in Python, and the columns q of one p are updated together.  Every
+    element takes the operations of the two-column update of each factor in
+    turn.
     """
     d = theta_spec.dim
-    r = np.eye(d)
+    rt = np.eye(d)  # rt[j] is column j of R
     angles = theta_spec.angles
-    for p in range(1, d):
-        for q in range(p + 1, d + 1):
-            theta = angles[p - 1, q - 1]
-            if theta != 0.0:
-                # R <- R x G, applied as the equivalent two-column update
-                c, s = np.cos(theta), np.sin(theta)
-                i, j = p - 1, q - 1
-                col_i = r[:, i].copy()
-                r[:, i] = c * col_i + s * r[:, j]
-                r[:, j] = -s * col_i + c * r[:, j]
+    for p in range(d - 1):
+        qs = np.flatnonzero(angles[p])
+        if not qs.size:
+            continue
+        c, s = np.cos(angles[p, qs]), np.sin(angles[p, qs])
+        v, before = rt[p], []
+        for cq, sq, q in zip(c, s, qs):
+            before.append(v)
+            v = cq * v + sq * rt[q]
+        rt[qs] = (-s)[:, None] * np.array(before) + c[:, None] * rt[qs]
+        rt[p] = v
+    r = rt.T.copy()
     err = orthogonality_error(r)
     if not err <= ORTHOGONALITY_TOL:  # NaN-safe
         raise ArithmeticError(f"composed rotation lost orthogonality (error {err:.3e})")

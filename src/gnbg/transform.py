@@ -54,33 +54,74 @@ class TransformParams:
         w1, w2, w3, w4 = self.omega
         return (mu1 > 0 and (w1 > 0 or w2 > 0)) or (mu2 > 0 and (w3 > 0 or w4 > 0))
 
+    @property
+    def symmetric(self) -> bool:
+        """True when the map is odd, ``T(-a) == -T(a)``: both sides have the
+        same ``{frequency: summed amplitude}`` sine terms, zero frequencies
+        and zero amplitudes left out."""
+        mu1, mu2 = self.mu
+        w1, w2, w3, w4 = self.omega
+        return _sine_terms(mu1, w1, w2) == _sine_terms(mu2, w3, w4)
 
-def modulate(a: np.ndarray, mu, omega) -> np.ndarray:
+
+def _sine_terms(mu: float, w1: float, w2: float) -> dict:
+    """``{frequency: summed amplitude}`` of one side's sine terms
+    ``mu (sin(w1 L) + sin(w2 L))``, without the terms that are zero."""
+    terms = {}
+    for w in (w1, w2):
+        if w != 0.0 and mu != 0.0:
+            terms[w] = terms.get(w, 0.0) + mu
+    return terms
+
+
+def sign_table(params) -> np.ndarray:
+    """The per-sign parameters of the transforms ``params``, one column each.
+
+    Column ``2k`` holds transform k's ``(w1, w2, mu1)``, used for inputs
+    > 0, and column ``2k + 1`` its ``(w3, w4, mu2)``, used for inputs <= 0.
+    When every transform's two frequencies agree on both sides, the second
+    frequency row is dropped and the table holds the rows ``(w, mu)``.
+    """
+    table = np.array([(p.omega[0], p.omega[1], p.mu[0], p.omega[2], p.omega[3], p.mu[1])
+                      for p in params]).reshape(-1, 3).T
+    return np.delete(table, 1, axis=0) if np.array_equal(table[0], table[1]) else table
+
+
+def modulate(a: np.ndarray, table: np.ndarray, base) -> np.ndarray:
     """The transform of finite ``a``, as a new array.
 
-    ``mu = (mu1, mu2)`` and ``omega = (w1, w2, w3, w4)`` hold floats or
-    arrays that broadcast against ``a``, so one call can transform the
-    stacked vectors of many components, each with its own parameters.  Each
-    element takes the same operations as it would alone, so its value does
-    not depend on what else is in the call.
+    ``table`` is a ``sign_table`` and ``base`` an integer array that
+    broadcasts against ``a``, holding ``2k`` for the elements that transform
+    k acts on, so one call can transform the stacked vectors of many
+    components, each with its own parameters.  Each element gathers its
+    frequencies and amplitude from column ``base + (a <= 0)``.  When the
+    table has one frequency row, ``sin`` is taken once and doubled, which is
+    exactly the sum of the two equal sines.  Each element takes the same
+    operations as it would alone, so its value does not depend on what else
+    is in the call.
     """
     # in-place steps keep the number of live temporaries small
     la = np.abs(a)
-    active = la >= _TINY
-    positive = a > 0
-    la[~active] = 1.0  # inactive elements pass through unchanged below
+    inactive = la < _TINY
+    la[inactive] = 1.0  # inactive elements pass through unchanged below
     np.log(la, out=la)
-    wa = np.where(positive, omega[0], omega[2])
+    idx = base + (a <= 0)
+    wa = table[0].take(idx)
     wa *= la
     np.sin(wa, out=wa)
-    wb = np.where(positive, omega[1], omega[3])
-    wb *= la
-    wa += np.sin(wb, out=wb)
-    v = np.where(positive, mu[0], mu[1])
+    if len(table) == 2:
+        wa += wa
+    else:
+        wb = table[1].take(idx)
+        wb *= la
+        wa += np.sin(wb, out=wb)
+    v = table[-1].take(idx)
     v *= wa
     v += la
     np.exp(v, out=v)
-    return np.where(active, np.copysign(v, a, out=v), a)
+    np.copysign(v, a, out=v)
+    np.copyto(v, a, where=inactive)
+    return v
 
 
 def apply_transform(a: np.ndarray, params: TransformParams) -> np.ndarray:
@@ -90,4 +131,4 @@ def apply_transform(a: np.ndarray, params: TransformParams) -> np.ndarray:
         raise ValueError("transform input must be finite")
     if params.is_identity:
         return a.copy()
-    return modulate(a, params.mu, params.omega)
+    return modulate(a, sign_table([params]), 0)

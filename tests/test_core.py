@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnbg.core import (
     BudgetedEvaluator,
@@ -14,7 +16,7 @@ from gnbg.core import (
     evaluate,
 )
 from gnbg.rotation import ThetaSpec, random_theta
-from gnbg.transform import TransformParams
+from gnbg.transform import TransformParams, apply_transform
 
 
 def _component(d=2, **kwargs):
@@ -192,6 +194,31 @@ class TestClassify:
         record = classify(_instance([comp]))
         assert record["modality"] == "multimodal"
         assert record["basin_local_optima"] is True
+
+    @pytest.mark.parametrize("mu,omega,symmetric", [
+        ((0.2, 0.2), (20, 20, 20, 20), True),
+        ((0.2, 0.2), (20, 50, 20, 50), True),
+        ((0.2, 0.2), (20, 50, 50, 20), True),
+        ((0.4, 0.2), (10, 0, 10, 10), True),  # one term of 0.4, two of 0.2
+        ((0.0, 0.0), (10, 20, 30, 40), True),  # the identity
+        ((0.2, 0.5), (20, 50, 10, 25), False),
+        ((0.5, 0.0), (10, 10, 10, 10), False),
+        ((0.2, 0.2), (20, 50, 20, 0), False),
+    ])
+    def test_symmetric_cases(self, mu, omega, symmetric):
+        record = classify(_instance([_component(transform=TransformParams(mu, omega))]))
+        assert record["symmetric"] is symmetric
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(*[st.sampled_from([0.0, 0.2, 0.4, 0.5])] * 2),
+        st.tuples(*[st.sampled_from([0.0, 10.0, 20.0, 50.0])] * 4),
+    )
+    def test_symmetric_exactly_when_odd(self, mu, omega):
+        params = TransformParams(mu, omega)
+        a = np.geomspace(1e-3, 1e3, 97)
+        odd = np.allclose(apply_transform(-a, params), -apply_transform(a, params), rtol=1e-14, atol=0)
+        assert classify(_instance([_component(transform=params)]))["symmetric"] is odd
 
     def test_multi_component_is_non_separable(self):
         a = _component(sigma=0.0)

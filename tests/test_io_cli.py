@@ -512,6 +512,24 @@ class TestCli:
         assert main(["verify", "--instance", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "ok"
 
+    def test_verify_requires_an_exact_round_trip(self, tmp_path, capsys, monkeypatch):
+        """A document that reloads one ulp away is a mismatch, even where the
+        value is far below any relative tolerance."""
+        import gnbg.cli
+
+        def one_ulp_off(instance):
+            doc = serialize_instance(instance)
+            doc["components"][0]["sigma"] = float(np.nextafter(instance.components[0].sigma, np.inf))
+            return json.dumps(doc)
+
+        # the floor dominates every value, so one ulp of it shows in each
+        flat = Component(np.zeros(2), 1.0, np.full(2, 1e-30))
+        path = tmp_path / "inst.gnbg.json"
+        path.write_text(dump_instance(ProblemInstance(2, np.full(2, -100.0), np.full(2, 100.0), (flat,))))
+        monkeypatch.setattr(gnbg.cli, "dump_instance", one_ulp_off)
+        assert main(["verify", "--instance", str(path)]) == 2
+        assert "round-trip evaluation mismatch" in capsys.readouterr().err
+
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
 

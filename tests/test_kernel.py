@@ -29,7 +29,7 @@ from gnbg.generators import (
     suite_instance,
 )
 from gnbg.rotation import random_theta
-from gnbg.transform import TransformParams, apply_transform
+from gnbg.transform import TransformParams, apply_transform, sign_table
 
 _TINY = np.finfo(float).tiny
 
@@ -108,6 +108,22 @@ class TestAgainstOracle:
         ):
             _assert_exact(inst, _probe_points(inst, np.random.default_rng(seed), 40))
 
+    def test_mixed_frequencies_fall_back_to_two_sines(self):
+        """One component with equal frequencies next to one without: the
+        stacked table keeps both frequency rows."""
+        rng = np.random.default_rng(5)
+        equal = TransformParams((0.4, 0.6), (20, 20, 35, 35))
+        unequal = TransformParams((0.3, 0.5), (10, 25, 40, 15))
+        assert sign_table([equal]).shape == (2, 2)
+        assert sign_table([equal, unequal]).shape == (3, 4)
+        components = tuple(
+            Component(center=rng.uniform(-50, 50, 5), sigma=sigma, h_diag=np.ones(5),
+                      transform=params)
+            for sigma, params in ((0.0, equal), (1.0, unequal))
+        )
+        inst = ProblemInstance(5, np.full(5, -100.0), np.full(5, 100.0), components)
+        _assert_exact(inst, _probe_points(inst, rng, 60))
+
     def test_eval_component_is_the_one_component_case(self):
         rng = np.random.default_rng(0)
         comp = suite_instance(24, 0).components[2]
@@ -123,6 +139,7 @@ class TestAgainstOracle:
             TransformParams(),
             TransformParams((0.5, 0.0), (10, 20, 30, 40)),
             TransformParams((0.2, 0.9), (0, 0, 60, 1)),
+            TransformParams((0.3, 0.7), (20, 20, 50, 50)),  # one sin per element
         ):
             assert np.array_equal(apply_transform(a, params), oracle_transform(a, params))
 
@@ -140,14 +157,17 @@ def random_instances(draw):
             theta = random_theta(d, 1.0, (-np.pi, np.pi), rng)
         elif kind == "dense":
             rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
-        shape = draw(st.sampled_from(["identity", "active", "one-sided"]))
+        shape = draw(st.sampled_from(["identity", "active", "one-sided", "equal-frequency"]))
         if shape == "identity":
             transform = TransformParams()
         else:
             mu = tuple(rng.uniform(0.05, 1.0, 2))
             if shape == "one-sided":
                 mu = (mu[0], 0.0)
-            transform = TransformParams(mu, tuple(rng.uniform(0.0, 60.0, 4)))
+            omega = rng.uniform(0.0, 60.0, 4)
+            if shape == "equal-frequency":
+                omega[1], omega[3] = omega[0], omega[2]
+            transform = TransformParams(mu, tuple(omega))
         components.append(Component(
             center=rng.uniform(-80, 80, d),
             sigma=draw(st.floats(-1e3, 1e3)),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnbg.generators import suite_instance
 from gnbg.rotation import (
     ORTHOGONALITY_TOL,
     ThetaSpec,
@@ -34,6 +35,23 @@ def givens(dim: int, p: int, q: int, theta: float) -> np.ndarray:
     g[i, j] = -s
     g[j, i] = s
     return g
+
+
+def loop_rotation(spec: ThetaSpec) -> np.ndarray:
+    """Oracle: the factors applied one at a time, pairs p < q in row-major
+    order, each as the two-column update R <- R G."""
+    d = spec.dim
+    r = np.eye(d)
+    for p in range(1, d):
+        for q in range(p + 1, d + 1):
+            theta = spec.angles[p - 1, q - 1]
+            if theta != 0.0:
+                c, s = np.cos(theta), np.sin(theta)
+                i, j = p - 1, q - 1
+                col_i = r[:, i].copy()
+                r[:, i] = c * col_i + s * r[:, j]
+                r[:, j] = -s * col_i + c * r[:, j]
+    return r
 
 
 class TestGivens:
@@ -106,6 +124,26 @@ class TestRotationFromTheta:
     def test_deterministic_given_spec(self):
         spec = random_theta(10, 0.5, (-np.pi, np.pi), np.random.default_rng(3))
         assert np.array_equal(rotation_from_theta(spec), rotation_from_theta(spec))
+
+
+class TestAgainstLoop:
+    """``rotation_from_theta`` gives the loop oracle's bits, zero signs included."""
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 30])
+    @pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 1.0])
+    def test_random_specs(self, d, density):
+        rng = np.random.default_rng(d)
+        for _ in range(5):
+            spec = random_theta(d, density, (-np.pi, np.pi), rng)
+            r = rotation_from_theta(spec)
+            assert np.array_equal(r.view(np.int64), loop_rotation(spec).view(np.int64))
+
+    def test_suite_specs(self):
+        for k in range(1, 25):
+            for comp in suite_instance(k, seed=0).components:
+                if comp.theta is not None and not comp.theta.is_identity():
+                    r = rotation_from_theta(comp.theta)
+                    assert np.array_equal(r.view(np.int64), loop_rotation(comp.theta).view(np.int64))
 
 
 @st.composite
