@@ -8,7 +8,6 @@ matter how many workers execute them.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
@@ -87,6 +86,8 @@ def _run_all(specs: list[ExperimentSpec], workers: int) -> list[ExperimentReport
     results come back in (spec, run) order whatever the worker count."""
     tasks = [(spec, i) for spec in specs for i in range(spec.runs)]
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costly; only when a run needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_one_run, *zip(*tasks)))
     else:

@@ -204,11 +204,13 @@ def _de_draws(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.
     """One generation's draws, as ``de`` documents them: each target's
     donors (r1, r2, r3) and its crossover mask."""
     keys = rng.random((n, n - 1))
-    # argpartition leaves the order of the three smallest undefined; the
-    # triple is uniform only when they are taken in key order
-    r = np.argpartition(keys, 2, axis=1)[:, :3]
-    r = np.take_along_axis(r, np.take_along_axis(keys, r, axis=1).argsort(axis=1), axis=1)
     targets = np.arange(n)
+    # the three smallest keys in key order, one argmin pass each: a chosen
+    # key is overwritten by 2.0, above every key in [0, 1)
+    r = np.empty((n, 3), dtype=np.intp)
+    for j in range(3):
+        r[:, j] = keys.argmin(axis=1)
+        keys[targets, r[:, j]] = 2.0
     donors = r + (r >= targets[:, None])  # shift past the target
     cross = rng.random((n, d)) < CR
     cross[targets, rng.integers(d, size=n)] = True

@@ -9,6 +9,7 @@ nonzero angle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,21 +115,42 @@ def random_theta(
     receives a nonzero angle, uniform over ``angle_range`` = (lo, hi), with
     probability ``p_prob``, else stays zero.  p_prob = 0 gives a fully
     separable structure, p_prob = 1 a fully connected one.
+
+    Pairs are visited in row-major order.  Unless p_prob = 1, each pair
+    first takes a test draw u, and opens when u < p_prob; an open pair takes
+    draws ``lo + (hi - lo) * u`` (``rng.uniform(lo, hi)``) until one is
+    nonzero.  Every pair takes at least one draw, so the doubles are pulled
+    with ``rng.random(k)``, k the number of pairs still to settle, and
+    walked in this order: the angles and the generator's state on exit are
+    those of drawing each double with ``rng.uniform`` in turn.
     """
     if not 0.0 <= p_prob <= 1.0:
         raise ValueError(f"p_prob must be in [0, 1], got {p_prob}")
     lo, hi = angle_range
     if not lo < hi:
         raise ValueError(f"uniform angle range requires lo < hi, got ({lo}, {hi})")
+    lo, width = float(lo), float(hi) - float(lo)
 
     angles = np.zeros((dim, dim))
-    for p in range(dim - 1):
-        for q in range(p + 1, dim):
-            if p_prob == 1.0 or rng.uniform() < p_prob:
-                angle = rng.uniform(lo, hi)
-                while angle == 0.0:  # measure zero, but nonzero is contractual
-                    angle = rng.uniform(lo, hi)
-                angles[p, q] = angle
+    ps, qs = np.triu_indices(dim, 1)
+    values = [0.0] * ps.size
+    tested = p_prob < 1.0
+    i, opened = 0, not tested
+    while i < len(values):
+        for u in rng.random(len(values) - i).tolist():
+            if not opened:
+                if u < p_prob:
+                    opened = True
+                else:
+                    i += 1
+                continue
+            if not math.isfinite(width):
+                raise OverflowError(f"angle range ({lo}, {hi}) is too wide to sample")
+            angle = lo + width * u
+            if angle != 0.0:  # measure zero, but nonzero is contractual
+                values[i] = angle
+                i, opened = i + 1, not tested
+    angles[ps, qs] = values
     return ThetaSpec(dim, angles)
 
 

@@ -131,4 +131,5 @@ def apply_transform(a: np.ndarray, params: TransformParams) -> np.ndarray:
         raise ValueError("transform input must be finite")
     if params.is_identity:
         return a.copy()
-    return modulate(a, sign_table([params]), 0)
+    # modulate writes into its temporaries, which a 0-d input would make scalars
+    return modulate(a.reshape(-1), sign_table([params]), 0).reshape(a.shape)

@@ -1,12 +1,17 @@
 """Tests for the repeated-run experiment protocol and aggregation."""
 
+import concurrent.futures
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gnbg import harness
+import gnbg
 from gnbg.generators import ScenarioConfig, gen_linearity
 from gnbg.harness import ExperimentSpec, run_experiment, sweep
 from gnbg.optimizers import OptimizerConfig
@@ -116,7 +121,7 @@ class TestSweep:
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         template = _spec(runs=2, budget=3_000, milestones=(3_000,))
         values = [0.5, 1.0, 2.0]
         parallel = sweep(template, values, gen_linearity, workers=2)
@@ -132,3 +137,12 @@ class TestSweep:
         assert runs(parallel) == runs(serial)
         alone = run_experiment(replace(template, instance=gen_linearity(1.0), knob=1.0))
         assert runs([alone]) == runs(parallel)[1:2]
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """The pool module costs import time; only a run with workers > 1 loads it."""
+    src = str(Path(gnbg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, gnbg, gnbg.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -277,6 +277,14 @@ class TestDeDraws:
         assert (cross.sum(axis=-1) == 1).all()
         assert set(np.argmax(cross, axis=-1).ravel()) == set(range(self.D))
 
+    @pytest.mark.parametrize("n", [4, 5, 20, 100])
+    def test_donors_are_the_three_smallest_keys_in_key_order(self, n):
+        rng = np.random.default_rng(n)
+        keys = np.random.default_rng(n).random((n, n - 1))  # the draw _de_draws takes first
+        donors, _ = optimizers._de_draws(rng, n, self.D)
+        r = np.argsort(keys, axis=1, kind="stable")[:, :3]
+        assert np.array_equal(donors, r + (r >= np.arange(n)[:, None]))
+
 
 class TestThresholdStop:
     def test_run_stops_at_threshold(self):

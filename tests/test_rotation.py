@@ -54,6 +54,37 @@ def loop_rotation(spec: ThetaSpec) -> np.ndarray:
     return r
 
 
+def loop_random_theta(dim, p_prob, angle_range, rng) -> ThetaSpec:
+    """Oracle: the pair-by-pair loop, one ``rng.uniform`` call per draw."""
+    lo, hi = angle_range
+    angles = np.zeros((dim, dim))
+    for p in range(dim - 1):
+        for q in range(p + 1, dim):
+            if p_prob == 1.0 or rng.uniform() < p_prob:
+                angle = rng.uniform(lo, hi)
+                while angle == 0.0:
+                    angle = rng.uniform(lo, hi)
+                angles[p, q] = angle
+    return ThetaSpec(dim, angles)
+
+
+class ListGenerator:
+    """Serves a fixed list of doubles, one per draw, through both ``uniform``
+    (numpy's arithmetic, ``lo + (hi - lo) * u``) and ``random(k)``."""
+
+    def __init__(self, doubles):
+        self.doubles, self.used = list(doubles), 0
+
+    def random(self, k):
+        if self.used + k > len(self.doubles):
+            raise IndexError("list exhausted")
+        self.used += k
+        return np.array(self.doubles[self.used - k : self.used])
+
+    def uniform(self, lo=0.0, hi=1.0):
+        return lo + (hi - lo) * float(self.random(1)[0])
+
+
 class TestGivens:
     def test_zero_angle_is_identity(self):
         assert np.array_equal(givens(2, 1, 2, 0.0), np.eye(2))
@@ -203,3 +234,45 @@ def test_full_theta_fills_upper_triangle():
     spec = full_theta(6, np.pi / 4)
     assert spec.num_nonzero() == 15
     assert all(angle == np.pi / 4 for _, _, angle in spec.to_triples())
+
+
+class TestRandomThetaAgainstLoop:
+    """``random_theta`` gives the pair loop's angles and leaves the generator
+    where the loop leaves it."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 30])
+    @pytest.mark.parametrize("p_prob", [0.0, 0.1, 0.5, 0.75, 1.0])
+    def test_same_angles_and_next_draw(self, d, p_prob):
+        for seed in range(20):
+            bulk, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            a = random_theta(d, p_prob, (-np.pi, np.pi), bulk)
+            b = loop_random_theta(d, p_prob, (-np.pi, np.pi), loop)
+            assert a.angles.tobytes() == b.angles.tobytes()
+            assert bulk.random() == loop.random()
+
+    @pytest.mark.parametrize(
+        "p_prob, doubles, expected",
+        [
+            # pair (1, 2) opens and its first angle is exactly 0.0, so it redraws;
+            # (1, 3) stays closed, its test draw being p_prob itself; (2, 3) opens
+            (0.5, [0.1, 0.5, 0.75, 0.5, 0.2, 0.25, 0.3], {(0, 1): 0.5, (1, 2): -0.5}),
+            (1.0, [0.5, 0.75, 0.25, 0.875, 0.3], {(0, 1): 0.5, (0, 2): -0.5, (1, 2): 0.75}),
+        ],
+    )
+    def test_zero_angle_redraws(self, p_prob, doubles, expected):
+        want = np.zeros((3, 3))
+        for pq, angle in expected.items():
+            want[pq] = angle
+        bulk, loop = ListGenerator(doubles), ListGenerator(doubles)
+        a = random_theta(3, p_prob, (-1.0, 1.0), bulk)
+        b = loop_random_theta(3, p_prob, (-1.0, 1.0), loop)
+        assert a.angles.tobytes() == b.angles.tobytes() == want.tobytes()
+        assert bulk.used == loop.used == len(doubles) - 1
+
+    @pytest.mark.parametrize("impl", [random_theta, loop_random_theta])
+    def test_overflowing_range_raises_once_an_angle_is_drawn(self, impl):
+        with pytest.raises(OverflowError):
+            impl(10, 0.5, (-1e308, 1e308), np.random.default_rng(0))
+        with pytest.raises(OverflowError):
+            impl(2, 1.0, (-1e308, 1e308), np.random.default_rng(0))
+        assert impl(10, 0.0, (-1e308, 1e308), np.random.default_rng(0)).is_identity()

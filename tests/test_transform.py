@@ -92,6 +92,17 @@ class TestApplyTransform:
         tiny = 1e-310
         assert apply_transform(np.array([tiny]), params)[0] == tiny
 
+    @pytest.mark.parametrize(
+        "params",
+        [TransformParams(), TransformParams((0.5, 0.5), (10, 10, 10, 10))],
+        ids=["identity", "modulated"],
+    )
+    @pytest.mark.parametrize("a", [2.0, -0.3, 0.0])
+    def test_zero_dimensional_input(self, params, a):
+        out = apply_transform(a, params)
+        assert isinstance(out, np.ndarray) and out.shape == ()
+        assert out == apply_transform([a], params)[0]
+
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError):
             apply_transform(np.array([np.inf]), TransformParams())
