@@ -15,12 +15,11 @@ from itertools import combinations
 import numpy as np
 
 from .core import Component, ProblemInstance
-from .rotation import ThetaSpec, full_theta, random_theta
+from .rotation import ANGLE_RANGE, ThetaSpec, full_theta, random_theta
 from .transform import TransformParams
 
 DEFAULT_DIM = 30
 DEFAULT_BOUNDS = (-100.0, 100.0)
-ANGLE_RANGE = (-np.pi, np.pi)
 
 
 @dataclass(frozen=True)
@@ -59,23 +58,25 @@ def gen_linearity(lam: float, cfg: ScenarioConfig = ScenarioConfig()) -> Problem
     return _instance(cfg, [comp], "linearity", lam=lam)
 
 
+ALPHA_BETA = (0.4, 0.4)
+
+
 def gen_conditioning(
-    cond: float,
-    alpha_beta: tuple[float, float] = (0.4, 0.4),
-    cfg: ScenarioConfig = ScenarioConfig(),
+    cond: float, cfg: ScenarioConfig = ScenarioConfig()
 ) -> ProblemInstance:
     """Single quadratic basin whose diagonal scaling realizes the requested
     condition number exactly.
 
     Two randomly chosen diagonal positions get the extreme values 1 and
-    ``cond``; the rest are Beta(alpha, beta) draws stretched over [1, cond]
-    (small alpha = beta pushes mass toward the endpoints).
+    ``cond``; the rest are Beta(alpha, beta) draws, (alpha, beta) =
+    ``ALPHA_BETA``, stretched over [1, cond] (small alpha = beta pushes
+    mass toward the endpoints).
     """
     if cond < 1:
         raise ValueError(f"condition number must be >= 1, got {cond}")
     if cond > 1 and cfg.dim == 1:
         raise ValueError(f"a 1-D diagonal has condition number 1, got {cond}")
-    alpha, beta = alpha_beta
+    alpha, beta = ALPHA_BETA
     rng = _stream(cfg.seed, "conditioning", "h")
     a, b = 1.0, float(cond)
     h = a + (b - a) * rng.beta(alpha, beta, size=cfg.dim)
@@ -101,9 +102,7 @@ def gen_interaction(
         theta = full_theta(cfg.dim, fixed_angle)
         knobs = {"fixed_angle": fixed_angle}
     else:
-        theta = random_theta(
-            cfg.dim, p_prob, ANGLE_RANGE, _stream(cfg.seed, "interaction", "theta")
-        )
+        theta = random_theta(cfg.dim, p_prob, _stream(cfg.seed, "interaction", "theta"))
         knobs = {"p_prob": p_prob}
     comp = Component(
         center=np.zeros(cfg.dim), sigma=0.0, h_diag=h, lam=1.0, theta=theta
@@ -232,7 +231,7 @@ def _shared_rows(label, lo, hi):
 
 
 def _random_theta(p_prob):
-    return lambda slot: random_theta(DEFAULT_DIM, p_prob, ANGLE_RANGE, slot.own("theta"))
+    return lambda slot: random_theta(DEFAULT_DIM, p_prob, slot.own("theta"))
 
 
 def _chain_theta(slot) -> ThetaSpec:

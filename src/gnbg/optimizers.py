@@ -1,6 +1,11 @@
 """Baseline derivative-free minimizers: pattern search, constriction-factor
 PSO, and DE/rand/1/bin.
 
+Each baseline's search is a generator of row batches: it yields the rows
+to evaluate next and is sent back the values of the rows charged.  One
+loop, ``_run``, drives every search: it charges each batch and alone
+decides when a run ends.
+
 Every optimizer is charged one FE per candidate, in the order a one-point
 loop would evaluate them; candidates evaluated speculatively past the point
 where a run's course changes are neither charged nor recorded.  All keep
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BudgetedEvaluator, BudgetExhaustedError
+from .core import BudgetedEvaluator
 
 DEFAULT_THRESHOLD = 1e-8
 
@@ -49,24 +54,19 @@ class RunResult:
     success: bool
 
 
-class _StopSearch(Exception):
-    """Internal signal: budget exhausted or threshold reached."""
-
-
-def _make_tracked(evaluator: BudgetedEvaluator, threshold: float):
-    """Many-point evaluation that raises _StopSearch once the run is over:
-    at the threshold, or with the budget used up."""
-
-    def tracked_rows(X: np.ndarray, stop_below: float | None = None) -> np.ndarray:
-        try:
-            values = evaluator.batch(X, threshold, stop_below)
-        except BudgetExhaustedError:
-            raise _StopSearch from None
-        if evaluator.best_error <= threshold or evaluator.fe_used >= evaluator.max_fe:
-            raise _StopSearch
-        return values
-
-    return tracked_rows
+def _run(search, evaluator: BudgetedEvaluator, cfg, threshold, milestones) -> RunResult:
+    """Drive ``search(instance, cfg, rng)``: charge each ``(rows,
+    stop_below)`` batch it yields and send it the values of the rows
+    charged, until the best error reaches the threshold or the budget is
+    used up.  A budget-truncated batch ends the run before it is sent."""
+    steps = search(evaluator.instance, cfg, np.random.default_rng(cfg.seed))
+    rows, stop_below = next(steps)
+    while evaluator.fe_used < evaluator.max_fe:
+        values = evaluator.batch(rows, threshold, stop_below)
+        if evaluator.best_error <= threshold or evaluator.fe_used == evaluator.max_fe:
+            break
+        rows, stop_below = steps.send(values)
+    return _finish(evaluator, threshold, milestones)
 
 
 def _finish(evaluator, threshold, milestones) -> RunResult:
@@ -88,6 +88,32 @@ EXPAND = 2.0
 CONTRACT = 0.5
 
 
+def _pattern_search_rows(instance, cfg: OptimizerConfig, rng: np.random.Generator):
+    lower, upper = instance.bounds
+    d = instance.dim
+    initial_mesh = INITIAL_MESH_FRACTION * (upper - lower)
+    mesh = initial_mesh.copy()
+    rows = np.arange(2 * d)
+    # rows of a single component cost so little next to a kernel call that a
+    # whole poll is cheaper than the extra calls of charging it in blocks
+    block = 2 * d if len(instance.components) == 1 else max(1, d // 2)
+    x = rng.uniform(lower, upper)
+    fx = float((yield x[None, :], None)[0])
+    while True:
+        axis, sign = np.divmod(rng.permutation(2 * d), 2)
+        polls = np.repeat(x[None, :], 2 * d, axis=0)
+        polls[rows, axis] += np.where(sign == 0, mesh[axis], -mesh[axis])
+        polls = np.clip(polls, lower, upper, out=polls)
+        for start in range(0, 2 * d, block):
+            values = yield polls[start : start + block], fx
+            if values[-1] < fx:
+                x, fx = polls[start + len(values) - 1], float(values[-1])
+                mesh = np.minimum(mesh * EXPAND, initial_mesh)
+                break
+        else:
+            mesh = mesh * CONTRACT
+
+
 def pattern_search(
     evaluator: BudgetedEvaluator,
     cfg: OptimizerConfig,
@@ -104,41 +130,42 @@ def pattern_search(
     poll for a single component), up to the block holding the first
     improvement; FEs are charged in poll order up to it only.
     """
-    rng = np.random.default_rng(cfg.seed)
-    lower, upper = evaluator.instance.bounds
-    d = evaluator.instance.dim
-    tracked_rows = _make_tracked(evaluator, threshold)
-
-    initial_mesh = INITIAL_MESH_FRACTION * (upper - lower)
-    mesh = initial_mesh.copy()
-    rows = np.arange(2 * d)
-    # rows of a single component cost so little next to a kernel call that a
-    # whole poll is cheaper than the extra calls of charging it in blocks
-    block = 2 * d if len(evaluator.instance.components) == 1 else max(1, d // 2)
-    try:
-        x = rng.uniform(lower, upper)
-        fx = float(tracked_rows(x[None, :])[0])
-        while True:
-            axis, sign = np.divmod(rng.permutation(2 * d), 2)
-            polls = np.repeat(x[None, :], 2 * d, axis=0)
-            polls[rows, axis] += np.where(sign == 0, mesh[axis], -mesh[axis])
-            polls = np.clip(polls, lower, upper, out=polls)
-            for start in range(0, 2 * d, block):
-                values = tracked_rows(polls[start : start + block], stop_below=fx)
-                if values[-1] < fx:
-                    x, fx = polls[start + len(values) - 1], float(values[-1])
-                    mesh = np.minimum(mesh * EXPAND, initial_mesh)
-                    break
-            else:
-                mesh = mesh * CONTRACT
-    except _StopSearch:
-        pass
-    return _finish(evaluator, threshold, milestones)
+    return _run(_pattern_search_rows, evaluator, cfg, threshold, milestones)
 
 
 C1 = 2.05
 C2 = 2.05
 CHI = 0.729843788
+
+
+def _pso_rows(instance, cfg: OptimizerConfig, rng: np.random.Generator):
+    lower, upper = instance.bounds
+    d = instance.dim
+    n = cfg.population
+    pos = rng.uniform(lower, upper, size=(n, d))
+    vel = np.zeros((n, d))
+    pbest = pos.copy()
+    pbest_val = yield pos, None
+    g = int(np.argmin(pbest_val))
+    while True:
+        r1, r2 = rng.uniform(size=(n, 2, d)).transpose(1, 0, 2)
+        i = 0
+        while i < n:
+            # particles i.. all follow pbest[g]; charging stops at the
+            # first one that beats it, the only one that moves g
+            v = CHI * (
+                vel[i:]
+                + C1 * r1[i:] * (pbest[i:] - pos[i:])
+                + C2 * r2[i:] * (pbest[g] - pos[i:])
+            )
+            x = np.clip(pos[i:] + v, lower, upper)
+            values = yield x, pbest_val[g]
+            j = i + len(values)
+            vel[i:j], pos[i:j] = v[: j - i], x[: j - i]
+            new_g = j - 1 if values[-1] < pbest_val[g] else g
+            better = i + np.flatnonzero(values < pbest_val[i:j])
+            pbest_val[better], pbest[better] = values[better - i], pos[better]
+            g, i = new_g, j
 
 
 def pso(
@@ -160,40 +187,7 @@ def pso(
         raise ValueError(
             f"population {cfg.population} exceeds budget {evaluator.max_fe}"
         )
-    rng = np.random.default_rng(cfg.seed)
-    lower, upper = evaluator.instance.bounds
-    d = evaluator.instance.dim
-    n = cfg.population
-    tracked_rows = _make_tracked(evaluator, threshold)
-
-    pos = rng.uniform(lower, upper, size=(n, d))
-    vel = np.zeros((n, d))
-    pbest = pos.copy()
-    try:
-        pbest_val = tracked_rows(pos)
-        g = int(np.argmin(pbest_val))
-        while True:
-            r1, r2 = rng.uniform(size=(n, 2, d)).transpose(1, 0, 2)
-            i = 0
-            while i < n:
-                # particles i.. all follow pbest[g]; charging stops at the
-                # first one that beats it, the only one that moves g
-                v = CHI * (
-                    vel[i:]
-                    + C1 * r1[i:] * (pbest[i:] - pos[i:])
-                    + C2 * r2[i:] * (pbest[g] - pos[i:])
-                )
-                x = np.clip(pos[i:] + v, lower, upper)
-                values = tracked_rows(x, stop_below=pbest_val[g])
-                j = i + len(values)
-                vel[i:j], pos[i:j] = v[: j - i], x[: j - i]
-                new_g = j - 1 if values[-1] < pbest_val[g] else g
-                better = i + np.flatnonzero(values < pbest_val[i:j])
-                pbest_val[better], pbest[better] = values[better - i], pos[better]
-                g, i = new_g, j
-    except _StopSearch:
-        pass
-    return _finish(evaluator, threshold, milestones)
+    return _run(_pso_rows, evaluator, cfg, threshold, milestones)
 
 
 F_WEIGHT = 0.5
@@ -217,6 +211,23 @@ def _de_draws(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.
     return donors, cross
 
 
+def _de_rows(instance, cfg: OptimizerConfig, rng: np.random.Generator):
+    lower, upper = instance.bounds
+    d = instance.dim
+    n = cfg.population
+    pop = rng.uniform(lower, upper, size=(n, d))
+    values = yield pop, None
+    while True:
+        donors, cross = _de_draws(rng, n, d)
+        r1, r2, r3 = donors.T
+        mutants = pop[r1] + F_WEIGHT * (pop[r2] - pop[r3])
+        trials = np.clip(np.where(cross, mutants, pop), lower, upper)
+        trial_values = yield trials, None
+        better = trial_values <= values
+        values[better] = trial_values[better]
+        pop[better] = trials[better]
+
+
 def de(
     evaluator: BudgetedEvaluator,
     cfg: OptimizerConfig,
@@ -237,27 +248,7 @@ def de(
     """
     if cfg.population < 4:
         raise ValueError(f"population must be >= 4 for DE, got {cfg.population}")
-    rng = np.random.default_rng(cfg.seed)
-    lower, upper = evaluator.instance.bounds
-    d = evaluator.instance.dim
-    n = cfg.population
-    tracked_rows = _make_tracked(evaluator, threshold)
-
-    pop = rng.uniform(lower, upper, size=(n, d))
-    try:
-        values = tracked_rows(pop)
-        while True:
-            donors, cross = _de_draws(rng, n, d)
-            r1, r2, r3 = donors.T
-            mutants = pop[r1] + F_WEIGHT * (pop[r2] - pop[r3])
-            trials = np.clip(np.where(cross, mutants, pop), lower, upper)
-            trial_values = tracked_rows(trials)
-            better = trial_values <= values
-            values[better] = trial_values[better]
-            pop[better] = trials[better]
-    except _StopSearch:
-        pass
-    return _finish(evaluator, threshold, milestones)
+    return _run(_de_rows, evaluator, cfg, threshold, milestones)
 
 
 OPTIMIZERS = {"ps": pattern_search, "pso": pso, "de": de}

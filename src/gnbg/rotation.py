@@ -9,12 +9,12 @@ nonzero angle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 ORTHOGONALITY_TOL = 1e-12
+ANGLE_RANGE = (-np.pi, np.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,14 +105,9 @@ def orthogonality_error(r: np.ndarray) -> float:
     return float(np.max(np.abs(r.T @ r - np.eye(d))))
 
 
-def random_theta(
-    dim: int,
-    p_prob: float,
-    angle_range: tuple[float, float],
-    rng: np.random.Generator,
-) -> ThetaSpec:
+def random_theta(dim: int, p_prob: float, rng: np.random.Generator) -> ThetaSpec:
     """Random interaction structure: each above-diagonal entry independently
-    receives a nonzero angle, uniform over ``angle_range`` = (lo, hi), with
+    receives a nonzero angle, uniform over ``ANGLE_RANGE`` = (lo, hi), with
     probability ``p_prob``, else stays zero.  p_prob = 0 gives a fully
     separable structure, p_prob = 1 a fully connected one.
 
@@ -126,10 +121,8 @@ def random_theta(
     """
     if not 0.0 <= p_prob <= 1.0:
         raise ValueError(f"p_prob must be in [0, 1], got {p_prob}")
-    lo, hi = angle_range
-    if not lo < hi:
-        raise ValueError(f"uniform angle range requires lo < hi, got ({lo}, {hi})")
-    lo, width = float(lo), float(hi) - float(lo)
+    lo, hi = ANGLE_RANGE
+    width = hi - lo
 
     angles = np.zeros((dim, dim))
     ps, qs = np.triu_indices(dim, 1)
@@ -144,8 +137,6 @@ def random_theta(
                 else:
                     i += 1
                 continue
-            if not math.isfinite(width):
-                raise OverflowError(f"angle range ({lo}, {hi}) is too wide to sample")
             angle = lo + width * u
             if angle != 0.0:  # measure zero, but nonzero is contractual
                 values[i] = angle

@@ -84,7 +84,7 @@ def test_rotation_orthogonality():
     for d in (2, 8, 30):
         for s in range(100):
             rng = np.random.default_rng([d, s])
-            spec = random_theta(d, rng.uniform(0.2, 1.0), (-np.pi, np.pi), rng)
+            spec = random_theta(d, rng.uniform(0.2, 1.0), rng)
             assert orthogonality_error(rotation_from_theta(spec)) <= 1e-10
 
 

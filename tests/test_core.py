@@ -70,7 +70,7 @@ class TestEvalComponent:
             h_diag=np.array([1.0, 10.0, 100.0, 0.5, 2.0]),
             lam=0.3,
             transform=TransformParams((1.0, 0.5), (50, 25, 10, 5)),
-            theta=random_theta(5, 1.0, (-np.pi, np.pi), np.random.default_rng(0)),
+            theta=random_theta(5, 1.0, np.random.default_rng(0)),
         )
         assert eval_component(comp, comp.center) == -123.456
 
@@ -100,7 +100,7 @@ class TestEvalComponent:
         center = rng.uniform(-50, 50, size=8)
         comp = _component(
             d=8, center=center, h_diag=rng.uniform(1, 100, size=8),
-            theta=random_theta(8, 1.0, (-np.pi, np.pi), rng),
+            theta=random_theta(8, 1.0, rng),
         )
         assert eval_component(comp, center) == comp.sigma
 

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+from gnbg import generators
 from gnbg.core import BudgetedEvaluator, evaluate
 from gnbg.generators import (
     SUITE_SIZE,
@@ -46,11 +47,22 @@ THRESHOLD_RUNS = (
     (24, "ps", 225.0), (24, "pso", 190.0), (24, "de", 210.0),
 )
 SCENARIO_CFG = ScenarioConfig(seed=7)
+
+
+def _conditioning_beta_02(cfg):
+    """The corpus pins one conditioning scenario under Beta(0.2, 0.2)
+    instead of the generator's ALPHA_BETA, so the Beta shape reaches the
+    draw and the provenance."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generators, "ALPHA_BETA", (0.2, 0.2))
+        return gen_conditioning(1e6, cfg)
+
+
 SCENARIOS = {
     "linearity/0.1": lambda cfg: gen_linearity(0.1, cfg),
     "linearity/1.5": lambda cfg: gen_linearity(1.5, cfg),
     "conditioning/1000.0": lambda cfg: gen_conditioning(1e3, cfg=cfg),
-    "conditioning/1000000.0": lambda cfg: gen_conditioning(1e6, (0.2, 0.2), cfg),
+    "conditioning/1000000.0": _conditioning_beta_02,
     "interaction/0.3": lambda cfg: gen_interaction(p_prob=0.3, cfg=cfg),
     "interaction/angle-0.7": lambda cfg: gen_interaction(fixed_angle=0.7, cfg=cfg),
     "multimodal/0.2-20.0": lambda cfg: gen_multimodal(0.2, 20.0, cfg),

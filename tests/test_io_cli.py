@@ -47,7 +47,7 @@ class TestRoundTrip:
             assert abs(a - b) <= 1e-15 * max(1.0, abs(a))
 
     def test_dense_rotation_escape_field(self):
-        theta = random_theta(4, 1.0, (-np.pi, np.pi), np.random.default_rng(2))
+        theta = random_theta(4, 1.0, np.random.default_rng(2))
         from gnbg.rotation import rotation_from_theta
 
         comp = Component(
@@ -421,6 +421,18 @@ class TestCli:
         assert "condition number 1" in capsys.readouterr().err
         assert main(["generate", "--scenario", "conditioning", "--value", "1",
                      "--dim", "1"]) == 0
+
+    @pytest.mark.parametrize("value", ["2.5", "inf", "nan"])
+    def test_fractional_component_count_is_data_error(self, capsys, value):
+        assert main(["generate", "--scenario", "multicomponent", "--value", value,
+                     "--dim", "2"]) == 2
+        assert f"whole number, got {float(value)}" in capsys.readouterr().err
+        assert main(["sweep", "--scenario", "multicomponent", "--values", f"2,{value}",
+                     "--dim", "2", "--optimizer", "ps", "--runs", "1", "--budget", "10",
+                     "--milestones", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"whole number, got {float(value)}" in captured.err
 
     def test_nan_threshold_is_data_error(self, capsys):
         assert main(["run", "--suite", "1", "--optimizer", "ps", "--runs", "1",

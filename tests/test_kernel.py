@@ -154,7 +154,7 @@ def random_instances(draw):
         rotation, theta = None, None
         kind = draw(st.sampled_from(["none", "theta", "dense"]))
         if kind == "theta" and d > 1:
-            theta = random_theta(d, 1.0, (-np.pi, np.pi), rng)
+            theta = random_theta(d, 1.0, rng)
         elif kind == "dense":
             rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
         shape = draw(st.sampled_from(["identity", "active", "one-sided", "equal-frequency"]))

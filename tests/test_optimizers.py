@@ -302,6 +302,16 @@ class TestThresholdStop:
         assert result.success == (result.fe_to_success is not None)
 
 
+@pytest.mark.parametrize("kind", ["ps", "pso", "de"])
+def test_spent_budget_charges_nothing(kind):
+    ev = BudgetedEvaluator(gen_linearity(1.0), 10)
+    ev.batch(np.ones((10, 30)))
+    before = _run_state(ev)
+    result = run_optimizer(ev, OptimizerConfig(kind=kind, seed=0, population=4))
+    assert _run_state(ev) == before
+    assert (result.fe_used, result.best_value, result.success) == (10, ev.best_value, False)
+
+
 def test_dispatch_by_kind():
     ev = BudgetedEvaluator(_quadratic_1d(), 200)
     result = run_optimizer(ev, OptimizerConfig(kind="ps", seed=0))

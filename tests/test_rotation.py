@@ -54,9 +54,10 @@ def loop_rotation(spec: ThetaSpec) -> np.ndarray:
     return r
 
 
-def loop_random_theta(dim, p_prob, angle_range, rng) -> ThetaSpec:
-    """Oracle: the pair-by-pair loop, one ``rng.uniform`` call per draw."""
-    lo, hi = angle_range
+def loop_random_theta(dim, p_prob, rng) -> ThetaSpec:
+    """Oracle: the pair-by-pair loop, one ``rng.uniform(-pi, pi)`` call per
+    angle draw."""
+    lo, hi = -np.pi, np.pi
     angles = np.zeros((dim, dim))
     for p in range(dim - 1):
         for q in range(p + 1, dim):
@@ -148,12 +149,12 @@ class TestRotationFromTheta:
 
     def test_dense_random_is_orthogonal(self):
         rng = np.random.default_rng(11)
-        spec = random_theta(30, 1.0, (-np.pi, np.pi), rng)
+        spec = random_theta(30, 1.0, rng)
         r = rotation_from_theta(spec)
         assert orthogonality_error(r) <= 1e-12
 
     def test_deterministic_given_spec(self):
-        spec = random_theta(10, 0.5, (-np.pi, np.pi), np.random.default_rng(3))
+        spec = random_theta(10, 0.5, np.random.default_rng(3))
         assert np.array_equal(rotation_from_theta(spec), rotation_from_theta(spec))
 
 
@@ -165,7 +166,7 @@ class TestAgainstLoop:
     def test_random_specs(self, d, density):
         rng = np.random.default_rng(d)
         for _ in range(5):
-            spec = random_theta(d, density, (-np.pi, np.pi), rng)
+            spec = random_theta(d, density, rng)
             r = rotation_from_theta(spec)
             assert np.array_equal(r.view(np.int64), loop_rotation(spec).view(np.int64))
 
@@ -200,34 +201,30 @@ class TestRotationProperties:
 
 class TestRandomTheta:
     def test_p_zero_gives_all_zeros(self):
-        spec = random_theta(30, 0.0, (-np.pi, np.pi), np.random.default_rng(0))
+        spec = random_theta(30, 0.0, np.random.default_rng(0))
         assert spec.is_identity()
 
     def test_p_one_fills_every_pair(self):
-        spec = random_theta(30, 1.0, (-np.pi, np.pi), np.random.default_rng(0))
+        spec = random_theta(30, 1.0, np.random.default_rng(0))
         assert spec.num_nonzero() == 30 * 29 // 2
 
     def test_half_probability_concentrates(self):
         total = 30 * 29 // 2
         fractions = [
-            random_theta(30, 0.5, (-np.pi, np.pi), np.random.default_rng(s)).num_nonzero()
+            random_theta(30, 0.5, np.random.default_rng(s)).num_nonzero()
             / total
             for s in range(200)
         ]
         assert 0.45 <= np.mean(fractions) <= 0.55
 
     def test_seed_reproducibility(self):
-        a = random_theta(12, 0.3, (-np.pi, np.pi), np.random.default_rng(42))
-        b = random_theta(12, 0.3, (-np.pi, np.pi), np.random.default_rng(42))
+        a = random_theta(12, 0.3, np.random.default_rng(42))
+        b = random_theta(12, 0.3, np.random.default_rng(42))
         assert np.array_equal(a.angles, b.angles)
 
     def test_bad_probability_rejected(self):
         with pytest.raises(ValueError):
-            random_theta(5, 1.5, (-np.pi, np.pi), np.random.default_rng(0))
-
-    def test_bad_range_rejected(self):
-        with pytest.raises(ValueError):
-            random_theta(5, 0.5, (2.0, 1.0), np.random.default_rng(0))
+            random_theta(5, 1.5, np.random.default_rng(0))
 
 
 def test_full_theta_fills_upper_triangle():
@@ -245,18 +242,23 @@ class TestRandomThetaAgainstLoop:
     def test_same_angles_and_next_draw(self, d, p_prob):
         for seed in range(20):
             bulk, loop = np.random.default_rng(seed), np.random.default_rng(seed)
-            a = random_theta(d, p_prob, (-np.pi, np.pi), bulk)
-            b = loop_random_theta(d, p_prob, (-np.pi, np.pi), loop)
+            a = random_theta(d, p_prob, bulk)
+            b = loop_random_theta(d, p_prob, loop)
             assert a.angles.tobytes() == b.angles.tobytes()
             assert bulk.random() == loop.random()
 
     @pytest.mark.parametrize(
         "p_prob, doubles, expected",
         [
-            # pair (1, 2) opens and its first angle is exactly 0.0, so it redraws;
-            # (1, 3) stays closed, its test draw being p_prob itself; (2, 3) opens
-            (0.5, [0.1, 0.5, 0.75, 0.5, 0.2, 0.25, 0.3], {(0, 1): 0.5, (1, 2): -0.5}),
-            (1.0, [0.5, 0.75, 0.25, 0.875, 0.3], {(0, 1): 0.5, (0, 2): -0.5, (1, 2): 0.75}),
+            # pair (1, 2) opens and its first angle, -pi + 2 pi * 0.5, is exactly
+            # 0.0, so it redraws; (1, 3) stays closed, its test draw being
+            # p_prob itself; (2, 3) opens
+            (0.5, [0.1, 0.5, 0.75, 0.5, 0.2, 0.25, 0.3], {(0, 1): np.pi / 2, (1, 2): -np.pi / 2}),
+            (
+                1.0,
+                [0.5, 0.75, 0.25, 0.875, 0.3],
+                {(0, 1): np.pi / 2, (0, 2): -np.pi / 2, (1, 2): 3 * np.pi / 4},
+            ),
         ],
     )
     def test_zero_angle_redraws(self, p_prob, doubles, expected):
@@ -264,15 +266,7 @@ class TestRandomThetaAgainstLoop:
         for pq, angle in expected.items():
             want[pq] = angle
         bulk, loop = ListGenerator(doubles), ListGenerator(doubles)
-        a = random_theta(3, p_prob, (-1.0, 1.0), bulk)
-        b = loop_random_theta(3, p_prob, (-1.0, 1.0), loop)
+        a = random_theta(3, p_prob, bulk)
+        b = loop_random_theta(3, p_prob, loop)
         assert a.angles.tobytes() == b.angles.tobytes() == want.tobytes()
         assert bulk.used == loop.used == len(doubles) - 1
-
-    @pytest.mark.parametrize("impl", [random_theta, loop_random_theta])
-    def test_overflowing_range_raises_once_an_angle_is_drawn(self, impl):
-        with pytest.raises(OverflowError):
-            impl(10, 0.5, (-1e308, 1e308), np.random.default_rng(0))
-        with pytest.raises(OverflowError):
-            impl(2, 1.0, (-1e308, 1e308), np.random.default_rng(0))
-        assert impl(10, 0.0, (-1e308, 1e308), np.random.default_rng(0)).is_identity()
