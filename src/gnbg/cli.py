@@ -128,6 +128,7 @@ def _add_protocol_flags(p, with_seed=True):
     p.add_argument("--json", type=str, default=None, help="write the full JSON report here")
 
 
+@cache  # parse_args keeps no state in the parser, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gnbg")
     sub = parser.add_subparsers(dest="command", required=True)

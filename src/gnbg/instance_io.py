@@ -13,6 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -96,6 +98,38 @@ def _vector(doc, key, dim, where):
     return _floats(_require(doc, key, list, where), dim, f"{where}.{key}")
 
 
+_TRIPLE = itemgetter("p", "q", "angle")
+
+
+def _theta_triples(entries: list, where: str) -> list[tuple]:
+    """(p, q, angle) of each entry of a theta list.
+
+    A list whose entries are all objects with an int ``p`` and ``q`` and a
+    float ``angle`` is taken whole.  Otherwise the entries are checked one
+    by one: an error names the first entry at fault, and an int angle is
+    read as a float.
+    """
+    try:
+        triples = list(map(_TRIPLE, entries))
+    except (TypeError, KeyError):  # an entry not an object, or missing a field
+        pass
+    else:
+        ps, qs, angles = zip(*triples) if triples else ((), (), ())
+        # exact types: no bool passes as an int, and no int angle skips float()
+        if set(map(type, ps + qs)) <= {int} and set(map(type, angles)) <= {float}:
+            return triples
+    triples = []
+    for t, entry in enumerate(entries):
+        tw = f"{where}.theta[{t}]"
+        if not isinstance(entry, dict):
+            raise InstanceFormatError(f"{tw}: expected a JSON object")
+        p = _require(entry, "p", int, tw)
+        q = _require(entry, "q", int, tw)
+        angle = _number(entry, "angle", tw)
+        triples.append((p, q, angle))
+    return triples
+
+
 def parse_instance(doc: dict) -> ProblemInstance:
     """Rebuild an instance from its document; errors name the bad field.
 
@@ -128,15 +162,7 @@ def parse_instance(doc: dict) -> ProblemInstance:
         lam = _number(raw, "lambda", where)
         mu = _vector(raw, "mu", 2, where)
         omega = _vector(raw, "omega", 4, where)
-        triples = []
-        for t, entry in enumerate(_require(raw, "theta", list, where)):
-            tw = f"{where}.theta[{t}]"
-            if not isinstance(entry, dict):
-                raise InstanceFormatError(f"{tw}: expected a JSON object")
-            p = _require(entry, "p", int, tw)
-            q = _require(entry, "q", int, tw)
-            angle = _number(entry, "angle", tw)
-            triples.append((p, q, angle))
+        triples = _theta_triples(_require(raw, "theta", list, where), where)
         rotation = None
         if "rotation" in raw:
             if triples:
@@ -160,8 +186,33 @@ def parse_instance(doc: dict) -> ProblemInstance:
         raise InstanceFormatError(f"document: {exc}") from None
 
 
+# One theta entry as ``json.dumps(indent=2)`` writes it at its depth in a
+# document: %d and %r are what json writes for an int and a finite float,
+# and ThetaSpec angles are finite.
+_THETA_ENTRY = '        {\n          "p": %d,\n          "q": %d,\n          "angle": %r\n        }'
+_THETA_SLOT = "<theta>"
+
+
 def dump_instance(instance: ProblemInstance) -> str:
-    return json.dumps(serialize_instance(instance), indent=2) + "\n"
+    """The document's text: ``json.dumps(serialize_instance(instance),
+    indent=2)`` and a newline, byte for byte.
+
+    json's indenting encoder runs in Python, so the theta lists, which hold
+    most of a document's records, are rendered with one template each and
+    put in place of a placeholder string.
+    """
+    doc = serialize_instance(instance)
+    lists = []
+    for record in doc["components"]:
+        if record["theta"]:
+            entries = ",\n".join([_THETA_ENTRY] * len(record["theta"]))
+            values = tuple(chain.from_iterable(map(_TRIPLE, record["theta"])))
+            lists.append("[\n" + entries % values + "\n      ]")
+            record["theta"] = _THETA_SLOT
+    # components precede provenance, so the first len(lists) placeholders
+    # are the theta lists, whatever strings provenance holds
+    pieces = json.dumps(doc, indent=2).split(json.dumps(_THETA_SLOT), len(lists))
+    return "".join(chain.from_iterable(zip(pieces, lists))) + pieces[-1] + "\n"
 
 
 def load_instance(text: str) -> ProblemInstance:
@@ -252,7 +303,8 @@ def csv_report_text(reports: list[ExperimentReport]) -> str:
 
 
 def report_to_dict(report: ExperimentReport) -> dict:
-    """Full JSON-ready record including per-run traces."""
+    """JSON-ready record: the aggregates, and each run's best value, error and
+    position, FE used, milestone errors, FE to success and success."""
     return {
         "knob": report.knob,
         "runs": report.runs,

@@ -56,7 +56,7 @@ class ThetaSpec:
     def to_triples(self) -> list[tuple[int, int, float]]:
         """1-indexed (p, q, angle) triples for every nonzero angle."""
         ps, qs = np.nonzero(self.angles)
-        return [(int(p) + 1, int(q) + 1, float(self.angles[p, q])) for p, q in zip(ps, qs)]
+        return list(zip((ps + 1).tolist(), (qs + 1).tolist(), self.angles[ps, qs].tolist()))
 
     def num_nonzero(self) -> int:
         return int(np.count_nonzero(self.angles))
@@ -74,24 +74,30 @@ def rotation_from_theta(theta_spec: ThetaSpec) -> np.ndarray:
 
     The factors of one p change column p along a chain, and each column q
     once, from column p's value before that factor; so only the chain runs
-    in Python, and the columns q of one p are updated together.  Every
-    element takes the operations of the two-column update of each factor in
-    turn.
+    in Python, and the columns q of one p are updated together.  The
+    chain's ``s * column q`` products are taken in one multiply before it
+    runs, which leaves one multiply and one add per factor.  Every element
+    takes the operations of the two-column update of each factor in turn.
     """
     d = theta_spec.dim
     rt = np.eye(d)  # rt[j] is column j of R
-    angles = theta_spec.angles
-    for p in range(d - 1):
-        qs = np.flatnonzero(angles[p])
-        if not qs.size:
+    ps, qs = np.nonzero(theta_spec.angles)  # row-major: the factors in order
+    values = theta_spec.angles[ps, qs]
+    cos, sin = np.cos(values), np.sin(values)
+    start = 0
+    for p, end in enumerate(np.cumsum(np.bincount(ps, minlength=d)).tolist()):
+        if end == start:
             continue
-        c, s = np.cos(angles[p, qs]), np.sin(angles[p, qs])
-        v, before = rt[p], []
-        for cq, sq, q in zip(c, s, qs):
-            before.append(v)
-            v = cq * v + sq * rt[q]
-        rt[qs] = (-s)[:, None] * np.array(before) + c[:, None] * rt[qs]
-        rt[p] = v
+        q, c, s = qs[start:end], cos[start:end], sin[start:end]
+        start = end
+        w = rt[q]
+        chain = np.empty((q.size + 1, d))  # column p before each factor, then after all
+        chain[0] = rt[p]
+        for v, after, cq, sw in zip(chain, chain[1:], c.tolist(), s[:, None] * w):
+            np.multiply(v, cq, out=after)
+            np.add(after, sw, out=after)
+        rt[q] = (-s)[:, None] * chain[:-1] + c[:, None] * w
+        rt[p] = chain[-1]
     r = rt.T.copy()
     err = orthogonality_error(r)
     if not err <= ORTHOGONALITY_TOL:  # NaN-safe

@@ -8,9 +8,10 @@ import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_kernel import random_instances
 
-from gnbg.cli import main
+from gnbg.cli import _build_parser, main
 from gnbg.core import Component, ProblemInstance, evaluate, evaluate_batch
 from gnbg.generators import ScenarioConfig, gen_linearity, suite_instance
 from gnbg.harness import ExperimentSpec, run_experiment
@@ -25,6 +26,7 @@ from gnbg.instance_io import (
 )
 from gnbg.optimizers import OptimizerConfig
 from gnbg.rotation import ThetaSpec, random_theta
+from gnbg.transform import TransformParams
 
 
 def _schema(name):
@@ -37,7 +39,57 @@ def _sphere_2d():
     return ProblemInstance(2, np.full(2, -100.0), np.full(2, 100.0), (comp,))
 
 
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.just("<theta>")  # the placeholder dump_instance swaps for theta lists
+)
+_PROVENANCE = st.none() | st.fixed_dictionaries({
+    "generator": st.text(max_size=8),
+    "knobs": st.recursive(
+        _JSON_LEAVES,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=10,
+    ),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+@st.composite
+def stored_instances(draw):
+    """Instances as documents hold them: sparse or dense theta, the dense
+    rotation escape, active transforms and provenance with nested knobs."""
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    components = []
+    for _ in range(draw(st.integers(1, 4))):
+        theta, rotation = None, None
+        kind = draw(st.sampled_from(["theta", "rotation", "none"]))
+        if kind == "theta":
+            theta = random_theta(d, draw(st.floats(0.0, 1.0)), rng)
+        elif kind == "rotation":
+            rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        transform = TransformParams()
+        if draw(st.booleans()):
+            transform = TransformParams(tuple(rng.uniform(0.05, 1.0, 2)), tuple(rng.uniform(0.0, 60.0, 4)))
+        components.append(Component(
+            center=rng.uniform(-80, 80, d),
+            sigma=draw(st.floats(-1e3, 1e3)),
+            h_diag=10.0 ** rng.uniform(-3, 3, d),
+            lam=draw(st.sampled_from([1.0, 0.25, 1.7])),
+            transform=transform,
+            theta=theta,
+            rotation=rotation,
+        ))
+    return ProblemInstance(d, np.full(d, -100.0), np.full(d, 100.0), tuple(components),
+                           draw(_PROVENANCE))
+
+
 class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(stored_instances())
+    def test_dump_is_json_dumps_byte_for_byte(self, inst):
+        assert dump_instance(inst) == json.dumps(serialize_instance(inst), indent=2) + "\n"
+
     def test_suite_instance_round_trips(self):
         inst = suite_instance(14, seed=0)
         again = parse_instance(serialize_instance(inst))
@@ -112,6 +164,38 @@ class TestParseErrors:
     def test_invalid_json_text(self):
         with pytest.raises(InstanceFormatError):
             load_instance("{not json")
+
+
+class TestThetaEntryErrors:
+    """A malformed theta entry after a well-formed one is named by its index
+    with the per-entry message, whether or not valid entries follow it."""
+
+    @pytest.mark.parametrize("bad,message", [
+        ([1, 3, 0.5], "components[0].theta[1]: expected a JSON object"),
+        ({"p": 1, "angle": 0.5}, "components[0].theta[1]: missing field 'q'"),
+        ({"p": 1, "q": 3, "angle": "1.0"}, "components[0].theta[1].angle: unexpected type str"),
+        ({"p": 1.0, "q": 3, "angle": 0.5}, "components[0].theta[1].p: unexpected type float"),
+        ({"p": 1, "q": True, "angle": 0.5}, "components[0].theta[1].q: unexpected type bool"),
+    ], ids=["non-object", "missing-q", "string-angle", "float-p", "bool-q"])
+    @pytest.mark.parametrize("after", [[], [{"p": 2, "q": 3, "angle": 0.25}]], ids=["last", "then-valid"])
+    def test_message_names_the_entry(self, bad, message, after):
+        doc = serialize_instance(_sphere_3d())
+        doc["components"][0]["theta"] = [{"p": 1, "q": 2, "angle": 0.5}, bad, *after]
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(doc)
+        assert str(exc.value) == message
+
+    def test_int_angle_after_float_angles_is_read_as_float(self):
+        doc = serialize_instance(_sphere_3d())
+        doc["components"][0]["theta"] = [{"p": 1, "q": 2, "angle": 0.5}, {"p": 2, "q": 3, "angle": 1}]
+        triples = parse_instance(doc).components[0].theta.to_triples()
+        assert triples == [(1, 2, 0.5), (2, 3, 1.0)]
+        assert type(triples[1][2]) is float
+
+
+def _sphere_3d():
+    comp = Component(np.zeros(3), 0.0, np.ones(3))
+    return ProblemInstance(3, np.full(3, -100.0), np.full(3, 100.0), (comp,))
 
 
 def _set_sigma(doc):
@@ -581,6 +665,25 @@ class TestCli:
         monkeypatch.delenv("GNBG_SEED")
         assert main(["suite", "--id", "3", "--seed", "42"]) == 0
         assert capsys.readouterr().out == from_env
+
+    def test_consecutive_calls_parse_on_their_own(self, capsys, monkeypatch):
+        """One parser serves every call in a process: no call's flags or
+        usage error reach the next, and each call reads GNBG_SEED."""
+        monkeypatch.setenv("GNBG_SEED", "7")
+        assert main(["suite", "--id", "2", "--seed", "42"]) == 0
+        explicit = capsys.readouterr().out
+        assert main(["suite", "--id", "2", "--bogus"]) == 1
+        assert "--bogus" in capsys.readouterr().err
+        assert main(["suite", "--id", "2"]) == 0
+        from_env = capsys.readouterr().out
+        assert from_env != explicit
+        monkeypatch.setenv("GNBG_SEED", "42")
+        assert main(["suite", "--id", "2"]) == 0
+        assert capsys.readouterr().out == explicit
+        monkeypatch.delenv("GNBG_SEED")
+        assert main(["suite", "--id", "2", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == from_env
+        assert _build_parser() is _build_parser()
 
     def test_suite_all_writes_files(self, tmp_path):
         code = main(["suite", "--all", "--seed", "0", "--out", str(tmp_path / "suite")])
