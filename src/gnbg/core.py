@@ -38,7 +38,8 @@ class Component:
 
     ``theta`` holds the interaction angles when the rotation was built from
     plane angles (kept for serialization and separability classification);
-    ``rotation`` may also be supplied directly as an orthogonal matrix.
+    ``rotation`` may instead be supplied directly as an orthogonal matrix,
+    but not both: a document stores one of them.
     """
 
     center: np.ndarray
@@ -66,6 +67,8 @@ class Component:
         if not 0 < self.lam < np.inf:
             raise ValueError(f"lambda must be finite and > 0, got {self.lam}")
         rotation = self.rotation
+        if self.theta is not None and rotation is not None:
+            raise ValueError("theta and rotation are mutually exclusive")
         if rotation is None:
             if self.theta is not None and not self.theta.is_identity():
                 if self.theta.dim != d:

@@ -165,8 +165,6 @@ def parse_instance(doc: dict) -> ProblemInstance:
         triples = _theta_triples(_require(raw, "theta", list, where), where)
         rotation = None
         if "rotation" in raw:
-            if triples:
-                raise InstanceFormatError(f"{where}: theta and rotation are mutually exclusive")
             rows = _require(raw, "rotation", list, where)
             rotation = np.array(
                 [_vector({"row": r}, "row", dim, f"{where}.rotation[{i}]") for i, r in enumerate(rows)]
@@ -186,32 +184,55 @@ def parse_instance(doc: dict) -> ProblemInstance:
         raise InstanceFormatError(f"document: {exc}") from None
 
 
-# One theta entry as ``json.dumps(indent=2)`` writes it at its depth in a
-# document: %d and %r are what json writes for an int and a finite float,
-# and ThetaSpec angles are finite.
-_THETA_ENTRY = '        {\n          "p": %d,\n          "q": %d,\n          "angle": %r\n        }'
-_THETA_SLOT = "<theta>"
+# One theta entry as ``json.dumps(indent=2)`` writes it in a document: %d
+# and %r are what json writes for an int and a finite float, and ThetaSpec
+# angles are finite.
+_THETA_ENTRY = '{\n          "p": %d,\n          "q": %d,\n          "angle": %r\n        }'
+_SLOT = "<list>"
+
+
+def _list_text(items, depth: int) -> str:
+    """A list as ``json.dumps(indent=2)`` writes it ``depth`` levels deep,
+    given the texts of its items."""
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
+
+
+def _field_text(key: str, value: list, depth: int) -> str:
+    """A list field as ``json.dumps(indent=2)`` writes it ``depth`` levels deep.
+
+    Every float a document holds is finite (the constructors check), and
+    json writes a finite float as its repr.
+    """
+    if key == "theta":  # a component's, three levels deep
+        return _list_text([_THETA_ENTRY] * len(value), depth) % tuple(
+            chain.from_iterable(map(_TRIPLE, value))
+        )
+    if key == "rotation":
+        return _list_text([_list_text(list(map(repr, row)), depth + 1) for row in value], depth)
+    return _list_text(list(map(repr, value)), depth)
 
 
 def dump_instance(instance: ProblemInstance) -> str:
     """The document's text: ``json.dumps(serialize_instance(instance),
     indent=2)`` and a newline, byte for byte.
 
-    json's indenting encoder runs in Python, so the theta lists, which hold
-    most of a document's records, are rendered with one template each and
-    put in place of a placeholder string.
+    json's indenting encoder runs in Python, so every list is rendered here
+    with one join (the theta lists with one template each) and put in place
+    of a placeholder string.
     """
     doc = serialize_instance(instance)
     lists = []
-    for record in doc["components"]:
-        if record["theta"]:
-            entries = ",\n".join([_THETA_ENTRY] * len(record["theta"]))
-            values = tuple(chain.from_iterable(map(_TRIPLE, record["theta"])))
-            lists.append("[\n" + entries % values + "\n      ]")
-            record["theta"] = _THETA_SLOT
-    # components precede provenance, so the first len(lists) placeholders
-    # are the theta lists, whatever strings provenance holds
-    pieces = json.dumps(doc, indent=2).split(json.dumps(_THETA_SLOT), len(lists))
+    for record, depth in [(doc["bounds"], 2), *((r, 3) for r in doc["components"])]:
+        for key, value in record.items():
+            if isinstance(value, list):
+                lists.append(_field_text(key, value, depth))
+                record[key] = _SLOT
+    # bounds and components precede provenance, so the first len(lists)
+    # placeholders are the lists, in order, whatever strings provenance holds
+    pieces = json.dumps(doc, indent=2).split(json.dumps(_SLOT), len(lists))
     return "".join(chain.from_iterable(zip(pieces, lists))) + pieces[-1] + "\n"
 
 

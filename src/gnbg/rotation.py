@@ -45,11 +45,15 @@ class ThetaSpec:
 
     @classmethod
     def from_triples(cls, dim: int, triples) -> "ThetaSpec":
-        """Build from an iterable of 1-indexed (p, q, angle) triples."""
+        """Build from an iterable of 1-indexed (p, q, angle) triples, one per pair."""
         angles = np.zeros((dim, dim))
+        seen = set()
         for p, q, angle in triples:
             if not (1 <= p < q <= dim):
                 raise ValueError(f"invalid theta pair (p={p}, q={q}) for dim {dim}")
+            if (p, q) in seen:
+                raise ValueError(f"repeated theta pair (p={p}, q={q})")
+            seen.add((p, q))
             angles[p - 1, q - 1] = angle
         return cls(dim, angles)
 
@@ -72,32 +76,35 @@ def rotation_from_theta(theta_spec: ThetaSpec) -> np.ndarray:
     a Givens factor for every nonzero angle.  Zero angles are skipped, so the
     all-zero spec yields the identity.
 
-    The factors of one p change column p along a chain, and each column q
-    once, from column p's value before that factor; so only the chain runs
-    in Python, and the columns q of one p are updated together.  The
-    chain's ``s * column q`` products are taken in one multiply before it
-    runs, which leaves one multiply and one add per factor.  Every element
-    takes the operations of the two-column update of each factor in turn.
+    The factors are applied by wavefront, t = p + q, one vectorized step per
+    t: at most 2d - 3 steps.  Two factors of one wavefront never share a
+    column (p1 < p2 and p1 + q1 = p2 + q2 give p1 < p2 < q2 < q1), so they
+    commute.  Column j meets its factors (p, j) at t = p + j < 2j and then
+    (j, q) at t = j + q > 2j, in row-major order, so each column takes the
+    same updates in the same order as in the row-major product.  A step
+    gathers its columns p and q and then their partners q and p, multiplies
+    them by (cos, cos, sin, -sin), and adds the partners in: every element
+    takes exactly the operations of the two-column update of each factor.
     """
     d = theta_spec.dim
     rt = np.eye(d)  # rt[j] is column j of R
     ps, qs = np.nonzero(theta_spec.angles)  # row-major: the factors in order
+    wave = ps + qs
+    order = np.argsort(wave, kind="stable")
+    ps, qs = ps[order], qs[order]
     values = theta_spec.angles[ps, qs]
     cos, sin = np.cos(values), np.sin(values)
+    cols = np.stack((ps, qs, qs, ps))  # updated columns, then their partners
+    coef = np.stack((cos, cos, sin, -sin))[:, :, None]
     start = 0
-    for p, end in enumerate(np.cumsum(np.bincount(ps, minlength=d)).tolist()):
+    for end in np.cumsum(np.bincount(wave)).tolist():
         if end == start:
             continue
-        q, c, s = qs[start:end], cos[start:end], sin[start:end]
+        g = rt[cols[:, start:end]]
+        g *= coef[:, start:end]
+        g[:2] += g[2:]
+        rt[cols[:2, start:end]] = g[:2]
         start = end
-        w = rt[q]
-        chain = np.empty((q.size + 1, d))  # column p before each factor, then after all
-        chain[0] = rt[p]
-        for v, after, cq, sw in zip(chain, chain[1:], c.tolist(), s[:, None] * w):
-            np.multiply(v, cq, out=after)
-            np.add(after, sw, out=after)
-        rt[q] = (-s)[:, None] * chain[:-1] + c[:, None] * w
-        rt[p] = chain[-1]
     r = rt.T.copy()
     err = orthogonality_error(r)
     if not err <= ORTHOGONALITY_TOL:  # NaN-safe

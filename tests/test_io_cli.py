@@ -41,7 +41,7 @@ def _sphere_2d():
 
 _JSON_LEAVES = (
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
-    | st.just("<theta>")  # the placeholder dump_instance swaps for theta lists
+    | st.just("<list>")  # the placeholder dump_instance swaps for lists
 )
 _PROVENANCE = st.none() | st.fixed_dictionaries({
     "generator": st.text(max_size=8),
@@ -166,6 +166,30 @@ class TestParseErrors:
             load_instance("{not json")
 
 
+class TestThetaOrRotation:
+    """A component holds its angles or a dense rotation, never both: a
+    document stores only one, so both would not survive a round trip."""
+
+    def test_component_rejects_both(self):
+        theta = random_theta(3, 1.0, np.random.default_rng(0))
+        rotation = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))[0]
+        with pytest.raises(ValueError, match="theta and rotation are mutually exclusive"):
+            Component(np.zeros(3), 0.0, np.ones(3), theta=theta, rotation=rotation)
+
+    def test_component_rejects_both_with_identity_theta(self):
+        with pytest.raises(ValueError, match="mutually exclusive"):
+            Component(np.zeros(2), 0.0, np.ones(2), theta=ThetaSpec(2, np.zeros((2, 2))),
+                      rotation=np.eye(2))
+
+    def test_document_with_both_named(self):
+        doc = serialize_instance(_sphere_3d())
+        doc["components"][0]["theta"] = [{"p": 1, "q": 2, "angle": 0.5}]
+        doc["components"][0]["rotation"] = np.eye(3).tolist()
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(doc)
+        assert str(exc.value) == "components[0]: theta and rotation are mutually exclusive"
+
+
 class TestThetaEntryErrors:
     """A malformed theta entry after a well-formed one is named by its index
     with the per-entry message, whether or not valid entries follow it."""
@@ -184,6 +208,30 @@ class TestThetaEntryErrors:
         with pytest.raises(InstanceFormatError) as exc:
             parse_instance(doc)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("angles", [(0.5, 0.25), (0.0, 0.5)], ids=["nonzero", "zero-first"])
+    def test_repeated_pair_named(self, angles):
+        doc = serialize_instance(_sphere_3d())
+        doc["components"][0]["theta"] = [
+            {"p": 1, "q": 3, "angle": angles[0]},
+            {"p": 2, "q": 3, "angle": 0.75},
+            {"p": 1, "q": 3, "angle": angles[1]},
+        ]
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(doc)
+        assert str(exc.value) == "components[0]: repeated theta pair (p=1, q=3)"
+
+    def test_verify_exits_2_naming_a_repeated_pair(self, tmp_path, capsys):
+        doc = serialize_instance(suite_instance(22, seed=0))
+        theta = doc["components"][1]["theta"]
+        theta.append(dict(theta[0], angle=theta[0]["angle"] / 2))
+        path = tmp_path / "dup.gnbg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        p, q = theta[0]["p"], theta[0]["q"]
+        assert f"components[1]: repeated theta pair (p={p}, q={q})" in captured.err
 
     def test_int_angle_after_float_angles_is_read_as_float(self):
         doc = serialize_instance(_sphere_3d())

@@ -138,6 +138,10 @@ class TestThetaSpec:
         with pytest.raises(ValueError):
             ThetaSpec.from_triples(4, [(3, 3, 0.1)])
 
+    def test_repeated_pair_rejected(self):
+        with pytest.raises(ValueError, match=r"repeated theta pair \(p=2, q=4\)"):
+            ThetaSpec.from_triples(4, [(2, 4, 0.1), (1, 3, 0.2), (2, 4, 0.3)])
+
 
 class TestRotationFromTheta:
     def test_all_zero_gives_identity(self):
@@ -176,6 +180,64 @@ class TestAgainstLoop:
                 if comp.theta is not None and not comp.theta.is_identity():
                     r = rotation_from_theta(comp.theta)
                     assert np.array_equal(r.view(np.int64), loop_rotation(comp.theta).view(np.int64))
+
+
+@st.composite
+def pair_structures(draw):
+    """Specs of 1 to 40 dimensions whose pairs are a random subset, the chain
+    (i, i+1), one row, one column or the whole triangle; angles uniform over
+    [-pi, pi], some or all of them at exactly -pi or pi."""
+    d = draw(st.integers(1, 40))
+    ps, qs = np.triu_indices(d, 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["subset", "chain", "row", "column", "full"]))
+    if shape == "subset":
+        keep = rng.random(ps.size) < draw(st.floats(0.0, 1.0))
+    elif shape == "chain":
+        keep = qs == ps + 1
+    elif shape == "row":
+        keep = ps == draw(st.integers(0, max(d - 2, 0)))
+    elif shape == "column":
+        keep = qs == draw(st.integers(min(1, d - 1), d - 1))
+    else:
+        keep = np.ones(ps.size, dtype=bool)
+    if draw(st.booleans()):
+        angles = rng.uniform(-np.pi, np.pi, ps.size)
+        for i in draw(st.lists(st.integers(0, max(ps.size - 1, 0)), max_size=4)):
+            angles[i:i + 1] = draw(st.sampled_from([-np.pi, np.pi]))  # a slice: d = 1 has no pairs
+    else:
+        angles = rng.choice([-np.pi, np.pi], ps.size)
+    matrix = np.zeros((d, d))
+    matrix[ps[keep], qs[keep]] = angles[keep]
+    return ThetaSpec(d, matrix)
+
+
+class TestWavefrontComposition:
+    """The wavefront composition takes each element through the loop
+    oracle's operations, whatever pairs are open."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(pair_structures())
+    def test_bits_equal_loop(self, spec):
+        r = rotation_from_theta(spec)
+        assert np.array_equal(r.view(np.int64), loop_rotation(spec).view(np.int64))
+
+    @pytest.mark.parametrize("error", [1.0, np.nan])
+    def test_lost_orthogonality_raises(self, monkeypatch, error):
+        import gnbg.rotation
+
+        monkeypatch.setattr(gnbg.rotation, "orthogonality_error", lambda r: error)
+        with pytest.raises(ArithmeticError, match="lost orthogonality"):
+            rotation_from_theta(full_theta(5, 0.3))
+
+    def test_lost_orthogonality_names_the_component(self, monkeypatch):
+        import gnbg.rotation
+        from gnbg.instance_io import InstanceFormatError, dump_instance, load_instance
+
+        text = dump_instance(suite_instance(22, seed=0))
+        monkeypatch.setattr(gnbg.rotation, "orthogonality_error", lambda r: 1.0)
+        with pytest.raises(InstanceFormatError, match=r"^components\[0\]: composed rotation lost orthogonality"):
+            load_instance(text)
 
 
 @st.composite
