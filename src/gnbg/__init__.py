@@ -30,7 +30,7 @@ from .instance_io import (
     parse_instance,
     serialize_instance,
 )
-from .optimizers import OptimizerConfig, RunResult, de, pattern_search, pso, run_optimizer
+from .optimizers import OptimizerConfig, RunResult, run_optimizer
 from .rotation import ThetaSpec, orthogonality_error, random_theta, rotation_from_theta
 from .transform import TransformParams, apply_transform
 
@@ -51,7 +51,6 @@ __all__ = [
     "TransformParams",
     "apply_transform",
     "classify",
-    "de",
     "dominated_components",
     "dump_instance",
     "eval_component",
@@ -66,8 +65,6 @@ __all__ = [
     "load_instance",
     "orthogonality_error",
     "parse_instance",
-    "pattern_search",
-    "pso",
     "random_theta",
     "rotation_from_theta",
     "run_experiment",

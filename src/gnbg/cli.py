@@ -37,7 +37,7 @@ from .instance_io import (
     load_points,
     report_to_dict,
 )
-from .optimizers import OptimizerConfig
+from .optimizers import SEARCHES, OptimizerConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,13 +114,13 @@ def _add_scenario_flags(p):
 
 
 def _add_protocol_flags(p, with_seed=True):
-    p.add_argument("--optimizer", required=True, choices=["ps", "pso", "de"])
+    p.add_argument("--optimizer", required=True, choices=list(SEARCHES))
     p.add_argument("--runs", type=int, default=DEFAULT_RUNS)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--milestones", type=str, default=None,
                    help="comma-separated FE milestones")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    p.add_argument("--population", type=int, default=100)
+    p.add_argument("--population", type=int, default=OptimizerConfig.population)
     if with_seed:
         p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)

@@ -25,15 +25,11 @@ DEFAULT_BOUNDS = (-100.0, 100.0)
 @dataclass(frozen=True)
 class ScenarioConfig:
     dim: int = DEFAULT_DIM
-    bounds: tuple[float, float] = DEFAULT_BOUNDS
     seed: int = 0
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        lo, hi = self.bounds
-        if not lo < hi:
-            raise ValueError(f"bounds must satisfy lo < hi, got {self.bounds}")
 
 
 def _stream(seed: int, *labels) -> np.random.Generator:
@@ -44,7 +40,7 @@ def _stream(seed: int, *labels) -> np.random.Generator:
 
 
 def _instance(cfg, components, generator, **knobs) -> ProblemInstance:
-    lower, upper = (np.full(cfg.dim, bound) for bound in cfg.bounds)
+    lower, upper = (np.full(cfg.dim, bound) for bound in DEFAULT_BOUNDS)
     provenance = {"generator": generator, "knobs": knobs, "seed": int(cfg.seed)}
     return ProblemInstance(cfg.dim, lower, upper, tuple(components), provenance)
 
@@ -139,7 +135,7 @@ def gen_multicomponent(
     """
     if o < 1:
         raise ValueError(f"number of components must be >= 1, got {o}")
-    lo, hi = center_range if center_range is not None else cfg.bounds
+    lo, hi = center_range if center_range is not None else DEFAULT_BOUNDS
     centers = _stream(cfg.seed, "multicomponent", "centers").uniform(
         lo, hi, size=(o, cfg.dim)
     )

@@ -79,6 +79,8 @@ def _number(doc, key, where) -> float:
 
 def _floats(raw: list, dim: int, where: str) -> np.ndarray:
     """``dim`` numbers from a JSON list: the one rule for every number a file holds."""
+    if not isinstance(raw, list):
+        raise InstanceFormatError(f"{where}: unexpected type {type(raw).__name__}")
     try:
         if {bool, str} & set(map(type, raw)):  # float() would take true and "1.5"
             raise TypeError
@@ -166,9 +168,7 @@ def parse_instance(doc: dict) -> ProblemInstance:
         rotation = None
         if "rotation" in raw:
             rows = _require(raw, "rotation", list, where)
-            rotation = np.array(
-                [_vector({"row": r}, "row", dim, f"{where}.rotation[{i}]") for i, r in enumerate(rows)]
-            )
+            rotation = np.array([_floats(r, dim, f"{where}.rotation[{i}]") for i, r in enumerate(rows)])
         try:
             transform = TransformParams(tuple(mu), tuple(omega))
             theta = ThetaSpec.from_triples(dim, triples) if triples else None

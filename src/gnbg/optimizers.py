@@ -1,10 +1,11 @@
 """Baseline derivative-free minimizers: pattern search, constriction-factor
 PSO, and DE/rand/1/bin.
 
-Each baseline's search is a generator of row batches: it yields the rows
-to evaluate next and is sent back the values of the rows charged.  One
-loop, ``_run``, drives every search: it charges each batch and alone
-decides when a run ends.
+``run_optimizer`` is the one way to run a baseline: it looks ``cfg.kind``
+up in ``SEARCHES``, the table of the three searches.  Each search is a
+private generator of row batches: it yields the rows to evaluate next and
+is sent back the values of the rows charged.  One loop, ``_run``, drives
+every search: it charges each batch and alone decides when a run ends.
 
 Every optimizer is charged one FE per candidate, in the order a one-point
 loop would evaluate them; candidates evaluated speculatively past the point
@@ -26,19 +27,23 @@ DEFAULT_THRESHOLD = 1e-8
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Which optimizer, its seed and population.  Each optimizer's fixed
-    parameters are module constants next to it: ``INITIAL_MESH_FRACTION``,
-    ``EXPAND``, ``CONTRACT`` (PS); ``C1``, ``C2``, ``CHI`` (PSO); ``F_WEIGHT``, ``CR`` (DE)."""
+    """Which baseline (a key of ``SEARCHES``), its seed and population.
+    Each baseline's fixed parameters are module constants, named in the
+    docstring of its search."""
 
     kind: str = "ps"
     seed: int = 0
     population: int = 100
 
     def __post_init__(self):
-        if self.kind not in ("ps", "pso", "de"):
+        if self.kind not in SEARCHES:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.population < 1:
             raise ValueError(f"population must be >= 1, got {self.population}")
+        if self.kind == "de" and self.population < 4:
+            raise ValueError(f"population must be >= 4 for DE, got {self.population}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,16 @@ CONTRACT = 0.5
 
 
 def _pattern_search_rows(instance, cfg: OptimizerConfig, rng: np.random.Generator):
+    """Coordinate-direction pattern search with an adaptive mesh.
+
+    Polls the 2d directions +-e_i in a freshly randomized order each
+    iteration, moves on the first improvement, contracts the mesh by CONTRACT
+    after a fully failed poll and re-expands it by EXPAND (capped at the
+    initial INITIAL_MESH_FRACTION of the box width) after a success.  A
+    poll's points are evaluated in blocks of d // 2 (at least one; the whole
+    poll for a single component), up to the block holding the first
+    improvement; FEs are charged in poll order up to it only.
+    """
     lower, upper = instance.bounds
     d = instance.dim
     initial_mesh = INITIAL_MESH_FRACTION * (upper - lower)
@@ -114,31 +129,21 @@ def _pattern_search_rows(instance, cfg: OptimizerConfig, rng: np.random.Generato
             mesh = mesh * CONTRACT
 
 
-def pattern_search(
-    evaluator: BudgetedEvaluator,
-    cfg: OptimizerConfig,
-    threshold: float = DEFAULT_THRESHOLD,
-    milestones: tuple[int, ...] = (),
-) -> RunResult:
-    """Coordinate-direction pattern search with an adaptive mesh.
-
-    Polls the 2d directions +-e_i in a freshly randomized order each
-    iteration, moves on the first improvement, contracts the mesh by CONTRACT
-    after a fully failed poll and re-expands it by EXPAND (capped at the
-    initial INITIAL_MESH_FRACTION of the box width) after a success.  A
-    poll's points are evaluated in blocks of d // 2 (at least one; the whole
-    poll for a single component), up to the block holding the first
-    improvement; FEs are charged in poll order up to it only.
-    """
-    return _run(_pattern_search_rows, evaluator, cfg, threshold, milestones)
-
-
 C1 = 2.05
 C2 = 2.05
 CHI = 0.729843788
 
 
 def _pso_rows(instance, cfg: OptimizerConfig, rng: np.random.Generator):
+    """Constriction-factor PSO (Clerc & Kennedy, 2002), global-star neighborhood.
+
+    v <- CHI * (v + C1 r1 (pbest - x) + C2 r2 (gbest - x)), element-wise
+    uniform r1, r2.  Uniform init in the box, zero initial velocity, no
+    velocity clamp; positions are clamped to the box; gbest moves as soon as
+    a particle beats it.  The initial swarm is one batch; each sweep is
+    evaluated from the current particle to its end in one batch, charged up
+    to the first particle that beats gbest, and resumed after it.
+    """
     lower, upper = instance.bounds
     d = instance.dim
     n = cfg.population
@@ -168,34 +173,12 @@ def _pso_rows(instance, cfg: OptimizerConfig, rng: np.random.Generator):
             g, i = new_g, j
 
 
-def pso(
-    evaluator: BudgetedEvaluator,
-    cfg: OptimizerConfig,
-    threshold: float = DEFAULT_THRESHOLD,
-    milestones: tuple[int, ...] = (),
-) -> RunResult:
-    """Constriction-factor PSO (Clerc & Kennedy, 2002), global-star neighborhood.
-
-    v <- CHI * (v + C1 r1 (pbest - x) + C2 r2 (gbest - x)), element-wise
-    uniform r1, r2.  Uniform init in the box, zero initial velocity, no
-    velocity clamp; positions are clamped to the box; gbest moves as soon as
-    a particle beats it.  The initial swarm is one batch; each sweep is
-    evaluated from the current particle to its end in one batch, charged up
-    to the first particle that beats gbest, and resumed after it.
-    """
-    if cfg.population > evaluator.max_fe:
-        raise ValueError(
-            f"population {cfg.population} exceeds budget {evaluator.max_fe}"
-        )
-    return _run(_pso_rows, evaluator, cfg, threshold, milestones)
-
-
 F_WEIGHT = 0.5
 CR = 0.9
 
 
 def _de_draws(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """One generation's draws, as ``de`` documents them: each target's
+    """One generation's draws, as ``_de_rows`` documents them: each target's
     donors (r1, r2, r3) and its crossover mask."""
     keys = rng.random((n, n - 1))
     targets = np.arange(n)
@@ -212,6 +195,18 @@ def _de_draws(rng: np.random.Generator, n: int, d: int) -> tuple[np.ndarray, np.
 
 
 def _de_rows(instance, cfg: OptimizerConfig, rng: np.random.Generator):
+    """DE/rand/1/bin (Storn & Price, 1997) with synchronous generation update.
+
+    Mutant = x_r1 + F_WEIGHT (x_r2 - x_r3) with distinct donors excluding
+    the target; binomial crossover at rate CR with one forced coordinate;
+    greedy one-to-one selection.  Each generation draws its randomness in
+    three calls: an (n, n - 1) array of uniform keys, whose three smallest
+    per row, ordered by key and shifted past the target, are (r1, r2, r3),
+    so every ordered triple of distinct non-target indices is equally
+    likely; an (n, d) uniform array, below CR where the trial takes the
+    mutant; and n integers in [0, d), each target's forced coordinate.
+    Each generation's trials are evaluated in one batch.
+    """
     lower, upper = instance.bounds
     d = instance.dim
     n = cfg.population
@@ -228,30 +223,8 @@ def _de_rows(instance, cfg: OptimizerConfig, rng: np.random.Generator):
         pop[better] = trials[better]
 
 
-def de(
-    evaluator: BudgetedEvaluator,
-    cfg: OptimizerConfig,
-    threshold: float = DEFAULT_THRESHOLD,
-    milestones: tuple[int, ...] = (),
-) -> RunResult:
-    """DE/rand/1/bin (Storn & Price, 1997) with synchronous generation update.
-
-    Mutant = x_r1 + F_WEIGHT (x_r2 - x_r3) with distinct donors excluding
-    the target; binomial crossover at rate CR with one forced coordinate;
-    greedy one-to-one selection.  Each generation draws its randomness in
-    three calls: an (n, n - 1) array of uniform keys, whose three smallest
-    per row, ordered by key and shifted past the target, are (r1, r2, r3),
-    so every ordered triple of distinct non-target indices is equally
-    likely; an (n, d) uniform array, below CR where the trial takes the
-    mutant; and n integers in [0, d), each target's forced coordinate.
-    Each generation's trials are evaluated in one batch.
-    """
-    if cfg.population < 4:
-        raise ValueError(f"population must be >= 4 for DE, got {cfg.population}")
-    return _run(_de_rows, evaluator, cfg, threshold, milestones)
-
-
-OPTIMIZERS = {"ps": pattern_search, "pso": pso, "de": de}
+# cfg.kind -> its search; the one list of the baselines
+SEARCHES = {"ps": _pattern_search_rows, "pso": _pso_rows, "de": _de_rows}
 
 
 def run_optimizer(
@@ -260,5 +233,11 @@ def run_optimizer(
     threshold: float = DEFAULT_THRESHOLD,
     milestones: tuple[int, ...] = (),
 ) -> RunResult:
-    """Dispatch on cfg.kind."""
-    return OPTIMIZERS[cfg.kind](evaluator, cfg, threshold, milestones)
+    """Run the baseline ``cfg.kind`` on ``evaluator`` until its best error
+    reaches ``threshold`` or the budget is used up, recording the best error
+    at each of ``milestones``."""
+    if cfg.kind == "pso" and cfg.population > evaluator.max_fe:
+        raise ValueError(
+            f"population {cfg.population} exceeds budget {evaluator.max_fe}"
+        )
+    return _run(SEARCHES[cfg.kind], evaluator, cfg, threshold, milestones)

@@ -30,7 +30,7 @@ from gnbg.generators import (
 )
 from gnbg.harness import ExperimentSpec, run_experiment, sweep
 from gnbg.instance_io import dump_instance, parse_instance, serialize_instance
-from gnbg.optimizers import OptimizerConfig, de, pattern_search
+from gnbg.optimizers import OptimizerConfig
 from gnbg.rotation import ThetaSpec, orthogonality_error, random_theta, rotation_from_theta
 from gnbg.transform import TransformParams
 

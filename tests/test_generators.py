@@ -1,5 +1,7 @@
 """Tests for scenario builders and the 24-instance suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,10 @@ from gnbg.generators import (
     suite_instance,
 )
 from gnbg.instance_io import dump_instance
+
+
+def test_scenario_config_fields_are_dim_and_seed():
+    assert [f.name for f in dataclasses.fields(ScenarioConfig)] == ["dim", "seed"]
 
 
 class TestGenLinearity:

@@ -165,6 +165,18 @@ class TestParseErrors:
         with pytest.raises(InstanceFormatError):
             load_instance("{not json")
 
+    @pytest.mark.parametrize("row,message", [
+        (5, "unexpected type int"),
+        ([0.0, "x"], "non-numeric element"),
+        ([0.0], "expected 2 elements, got 1"),
+    ], ids=["not-a-list", "non-numeric", "short"])
+    def test_bad_rotation_row_named(self, row, message):
+        doc = self._doc()
+        doc["components"][0]["rotation"] = [[1.0, 0.0], row]
+        with pytest.raises(InstanceFormatError) as exc:
+            parse_instance(doc)
+        assert str(exc.value) == f"components[0].rotation[1]: {message}"
+
 
 class TestThetaOrRotation:
     """A component holds its angles or a dense rotation, never both: a
@@ -601,6 +613,28 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("knob,mean_err_m1")
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("argv,env", [
+        (["run", "--suite", "1", "--optimizer", "ps", "--seed", "-1"], None),
+        (["sweep", "--scenario", "linearity", "--values", "1.0", "--optimizer", "ps",
+          "--seed", "-2"], None),
+        (["run", "--suite", "1", "--optimizer", "ps"], "-1"),
+    ], ids=["run", "sweep", "env"])
+    def test_negative_seed_is_data_error_naming_the_seed(self, capsys, monkeypatch, argv, env):
+        if env is not None:
+            monkeypatch.setenv("GNBG_SEED", env)
+        assert main(argv + ["--runs", "1", "--budget", "10", "--milestones", "10"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_negative_suite_seed_still_accepted(self, capsys):
+        assert main(["suite", "--id", "1", "--seed", "-1"]) == 0
+        assert capsys.readouterr().out
+
+    def test_small_de_population_is_data_error(self, capsys):
+        code = main(["run", "--suite", "1", "--optimizer", "de", "--population", "3",
+                     "--workers", "2", "--runs", "2", "--budget", "10", "--milestones", "10"])
+        assert code == 2
+        assert "population must be >= 4 for DE, got 3" in capsys.readouterr().err
 
     def test_sweep_emits_row_per_value(self, capsys):
         code = main(["sweep", "--scenario", "linearity", "--values", "0.75,1.0",

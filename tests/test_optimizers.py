@@ -8,7 +8,7 @@ import pytest
 from gnbg import optimizers
 from gnbg.core import BudgetedEvaluator, BudgetExhaustedError, Component, ProblemInstance
 from gnbg.generators import SUITE_SIZE, gen_linearity, suite_instance
-from gnbg.optimizers import OptimizerConfig, de, pattern_search, pso, run_optimizer
+from gnbg.optimizers import OptimizerConfig, run_optimizer
 from test_kernel import charge_one
 
 
@@ -32,36 +32,45 @@ class TestOptimizerConfig:
         with pytest.raises(ValueError):
             OptimizerConfig(kind="annealing")
 
+    def test_de_population_checked_at_construction(self):
+        with pytest.raises(ValueError, match="population must be >= 4 for DE, got 3"):
+            OptimizerConfig(kind="de", population=3)
+        assert OptimizerConfig(kind="de", population=4).population == 4
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            OptimizerConfig(seed=-1)
+
 
 class TestPatternSearch:
     def test_1d_quadratic_recovers_center(self):
         ev = BudgetedEvaluator(_quadratic_1d(), 10_000)
-        result = pattern_search(ev, OptimizerConfig(kind="ps", seed=0), threshold=0.0)
+        result = run_optimizer(ev, OptimizerConfig(kind="ps", seed=0), threshold=0.0)
         assert abs(result.best_position[0] - 3.0) <= 1e-6
 
     def test_budget_one_returns_single_sample(self):
         ev = BudgetedEvaluator(_quadratic_1d(), 1)
-        result = pattern_search(ev, OptimizerConfig(kind="ps", seed=0))
+        result = run_optimizer(ev, OptimizerConfig(kind="ps", seed=0))
         assert ev.fe_used == 1
         assert result.best_value == result.best_error  # optimum value is 0
         assert not result.success
 
     def test_history_is_monotone(self):
         ev = BudgetedEvaluator(gen_linearity(1.0), 5_000)
-        pattern_search(ev, OptimizerConfig(kind="ps", seed=1))
+        run_optimizer(ev, OptimizerConfig(kind="ps", seed=1))
         errors = [e for _, e in ev.history]
         assert all(b < a for a, b in zip(errors, errors[1:]))
 
     def test_stays_inside_box(self):
         ev = BudgetedEvaluator(_quadratic_1d(center=99.0), 2_000)
-        result = pattern_search(ev, OptimizerConfig(kind="ps", seed=2))
+        result = run_optimizer(ev, OptimizerConfig(kind="ps", seed=2))
         assert -100.0 <= result.best_position[0] <= 100.0
 
     def test_determinism(self):
         results = []
         for _ in range(2):
             ev = BudgetedEvaluator(gen_linearity(1.0), 3_000)
-            results.append(pattern_search(ev, OptimizerConfig(kind="ps", seed=5)))
+            results.append(run_optimizer(ev, OptimizerConfig(kind="ps", seed=5)))
         assert results[0].best_value == results[1].best_value
         assert np.array_equal(results[0].best_position, results[1].best_position)
         assert results[0].fe_used == results[1].fe_used
@@ -117,7 +126,7 @@ class TestPatternSearchPolls:
         expected = BudgetedEvaluator(instance, 777)
         oracle_pattern_search(expected, cfg, threshold)
         ev = BudgetedEvaluator(instance, 777)
-        pattern_search(ev, cfg, threshold)
+        run_optimizer(ev, cfg, threshold)
         assert _run_state(ev) == _run_state(expected)
 
     @pytest.mark.parametrize("k,rows", [(21, 15), (9, 60)], ids=["five-components", "one-component"])
@@ -134,7 +143,7 @@ class TestPatternSearchPolls:
             return real(self, X, *args, **kwargs)
 
         monkeypatch.setattr(BudgetedEvaluator, "batch", batch)
-        pattern_search(ev, OptimizerConfig(kind="ps", seed=0))
+        run_optimizer(ev, OptimizerConfig(kind="ps", seed=0))
         assert sizes[0] == 1
         assert set(sizes[1:]) == {rows}
 
@@ -142,22 +151,22 @@ class TestPatternSearchPolls:
 class TestPso:
     def test_1d_quadratic_small_swarm(self):
         ev = BudgetedEvaluator(_quadratic_1d(), 1_000)
-        result = pso(ev, OptimizerConfig(kind="pso", seed=0, population=3))
+        result = run_optimizer(ev, OptimizerConfig(kind="pso", seed=0, population=3))
         assert result.best_error <= 1e-8
 
     def test_population_exceeding_budget_rejected(self):
         ev = BudgetedEvaluator(_quadratic_1d(), 50)
         with pytest.raises(ValueError):
-            pso(ev, OptimizerConfig(kind="pso", seed=0, population=100))
+            run_optimizer(ev, OptimizerConfig(kind="pso", seed=0, population=100))
 
     def test_init_consumes_population_evaluations(self):
         ev = BudgetedEvaluator(gen_linearity(1.0), 100)
-        result = pso(ev, OptimizerConfig(kind="pso", seed=0, population=100))
+        result = run_optimizer(ev, OptimizerConfig(kind="pso", seed=0, population=100))
         assert result.fe_used == 100
 
     def test_milestones_recorded(self):
         ev = BudgetedEvaluator(gen_linearity(1.0), 2_000)
-        result = pso(
+        result = run_optimizer(
             ev, OptimizerConfig(kind="pso", seed=1), milestones=(500, 1_000, 2_000)
         )
         assert set(result.milestone_errors) == {500, 1_000, 2_000}
@@ -169,11 +178,11 @@ class TestDe:
     def test_small_population_rejected(self):
         ev = BudgetedEvaluator(_quadratic_1d(), 100)
         with pytest.raises(ValueError):
-            de(ev, OptimizerConfig(kind="de", seed=0, population=3))
+            run_optimizer(ev, OptimizerConfig(kind="de", seed=0, population=3))
 
     def test_1d_quadratic_converges(self):
         ev = BudgetedEvaluator(_quadratic_1d(), 5_000)
-        result = de(ev, OptimizerConfig(kind="de", seed=0, population=20))
+        result = run_optimizer(ev, OptimizerConfig(kind="de", seed=0, population=20))
         assert result.best_error <= 1e-8
         assert result.success
         assert result.fe_to_success == ev.history[-1][0]
@@ -182,7 +191,7 @@ class TestDe:
         results = []
         for _ in range(2):
             ev = BudgetedEvaluator(gen_linearity(1.0), 2_000)
-            results.append(de(ev, OptimizerConfig(kind="de", seed=3)))
+            results.append(run_optimizer(ev, OptimizerConfig(kind="de", seed=3)))
         assert results[0].best_value == results[1].best_value
         assert np.array_equal(results[0].best_position, results[1].best_position)
 
@@ -235,7 +244,7 @@ class TestDeGenerations:
             expected = BudgetedEvaluator(instance, 777)
             oracle_de(expected, cfg, threshold)
             ev = BudgetedEvaluator(instance, 777)
-            de(ev, cfg, threshold)
+            run_optimizer(ev, cfg, threshold)
             assert _run_state(ev) == _run_state(expected)
             runs.append(ev)
         assert runs[0].fe_used == 777 and 20 < runs[1].fe_used < 777
@@ -289,7 +298,7 @@ class TestDeDraws:
 class TestThresholdStop:
     def test_run_stops_at_threshold(self):
         ev = BudgetedEvaluator(gen_linearity(1.0), 100_000)
-        result = pattern_search(
+        result = run_optimizer(
             ev, OptimizerConfig(kind="ps", seed=0), threshold=1e5
         )
         assert result.success
@@ -298,7 +307,7 @@ class TestThresholdStop:
 
     def test_success_fields_consistent(self):
         ev = BudgetedEvaluator(gen_linearity(1.0), 500)
-        result = pattern_search(ev, OptimizerConfig(kind="ps", seed=0))
+        result = run_optimizer(ev, OptimizerConfig(kind="ps", seed=0))
         assert result.success == (result.fe_to_success is not None)
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from gnbg.core import BudgetedEvaluator, BudgetExhaustedError
 from gnbg.generators import SUITE_SIZE, suite_instance
-from gnbg.optimizers import DEFAULT_THRESHOLD, OptimizerConfig, _finish, pso
+from gnbg.optimizers import DEFAULT_THRESHOLD, OptimizerConfig, _finish, run_optimizer
 from test_kernel import charge_one, random_instances
 
 MILESTONES = (100, 333)
@@ -82,7 +82,7 @@ def _record(optimizer, instance, budget, cfg, threshold, milestones):
 def _assert_same(instance, budget, cfg, threshold=DEFAULT_THRESHOLD, milestones=()):
     args = (instance, budget, cfg, threshold, milestones)
     expected = _record(oracle_pso, *args)
-    assert _record(pso, *args) == expected
+    assert _record(run_optimizer, *args) == expected
     return expected
 
 
@@ -112,7 +112,7 @@ def test_threshold_stop_mid_sweep_matches_oracle(k, population):
     first nor the last particle of its sweep, so the run must stop there."""
     instance, budget = suite_instance(k, 0), 1000
     cfg = OptimizerConfig(kind="pso", seed=3, population=population)
-    full = _record(pso, instance, budget, cfg, -np.inf, ())["history"]
+    full = _record(run_optimizer, instance, budget, cfg, -np.inf, ())["history"]
     mid = [(fe, e) for fe, e in full if fe > population and 0 < (fe - 1) % population < population - 1]
     assert mid, "no improvement strictly inside a sweep"
     fe, error = mid[len(mid) // 2]
