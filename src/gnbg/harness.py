@@ -84,6 +84,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
 def _run_all(specs: list[ExperimentSpec], workers: int) -> list[ExperimentReport]:
     """One report per spec.  All runs of all specs share one process pool;
     results come back in (spec, run) order whatever the worker count."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = [(spec, i) for spec in specs for i in range(spec.runs)]
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # costly; only when a run needs it

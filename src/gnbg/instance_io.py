@@ -32,6 +32,15 @@ class InstanceFormatError(ValueError):
 
 
 def serialize_instance(instance: ProblemInstance) -> dict:
+    doc = _document(instance)
+    for record in doc["components"]:
+        record["theta"] = [{"p": p, "q": q, "angle": angle} for p, q, angle in record["theta"]]
+    return doc
+
+
+def _document(instance: ProblemInstance) -> dict:
+    """``serialize_instance``'s document, with each theta list as its
+    (p, q, angle) tuples."""
     components = []
     for comp in instance.components:
         record = {
@@ -41,10 +50,7 @@ def serialize_instance(instance: ProblemInstance) -> dict:
             "lambda": comp.lam,
             "mu": list(comp.transform.mu),
             "omega": list(comp.transform.omega),
-            "theta": [
-                {"p": p, "q": q, "angle": angle}
-                for p, q, angle in (comp.theta.to_triples() if comp.theta else [])
-            ],
+            "theta": comp.theta.to_triples() if comp.theta else [],
         }
         if comp.theta is None and comp.rotation is not None:
             record["rotation"] = comp.rotation.tolist()
@@ -206,10 +212,8 @@ def _field_text(key: str, value: list, depth: int) -> str:
     Every float a document holds is finite (the constructors check), and
     json writes a finite float as its repr.
     """
-    if key == "theta":  # a component's, three levels deep
-        return _list_text([_THETA_ENTRY] * len(value), depth) % tuple(
-            chain.from_iterable(map(_TRIPLE, value))
-        )
+    if key == "theta":  # a component's (p, q, angle) tuples, three levels deep
+        return _list_text([_THETA_ENTRY] * len(value), depth) % tuple(chain.from_iterable(value))
     if key == "rotation":
         return _list_text([_list_text(list(map(repr, row)), depth + 1) for row in value], depth)
     return _list_text(list(map(repr, value)), depth)
@@ -223,7 +227,7 @@ def dump_instance(instance: ProblemInstance) -> str:
     with one join (the theta lists with one template each) and put in place
     of a placeholder string.
     """
-    doc = serialize_instance(instance)
+    doc = _document(instance)
     lists = []
     for record, depth in [(doc["bounds"], 2), *((r, 3) for r in doc["components"])]:
         for key, value in record.items():

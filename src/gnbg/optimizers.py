@@ -115,10 +115,15 @@ def _pattern_search_rows(instance, cfg: OptimizerConfig, rng: np.random.Generato
     x = rng.uniform(lower, upper)
     fx = float((yield x[None, :], None)[0])
     while True:
-        axis, sign = np.divmod(rng.permutation(2 * d), 2)
+        # poll k moves axis order[k] // 2 by +mesh (even order[k]) or -mesh
+        # (odd).  x is inside the box, so only the moved coordinate is clamped,
+        # maximum then minimum, as np.clip takes them.
+        order = rng.permutation(2 * d)
+        axis = order // 2
+        moved = x[axis] + np.column_stack((mesh, -mesh)).ravel()[order]
+        np.minimum(np.maximum(moved, lower[axis], out=moved), upper[axis], out=moved)
         polls = np.repeat(x[None, :], 2 * d, axis=0)
-        polls[rows, axis] += np.where(sign == 0, mesh[axis], -mesh[axis])
-        polls = np.clip(polls, lower, upper, out=polls)
+        polls[rows, axis] = moved
         for start in range(0, 2 * d, block):
             values = yield polls[start : start + block], fx
             if values[-1] < fx:

@@ -636,6 +636,17 @@ class TestCli:
         assert code == 2
         assert "population must be >= 4 for DE, got 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["run", "--suite", "1"],
+        ["sweep", "--scenario", "linearity", "--values", "1.0", "--seed", "0"],
+    ], ids=["run", "sweep"])
+    def test_workers_below_one_is_data_error(self, capsys, argv, workers):
+        code = main(argv + ["--optimizer", "ps", "--runs", "2", "--budget", "50",
+                            "--milestones", "50", "--workers", workers])
+        assert code == 2
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+
     def test_sweep_emits_row_per_value(self, capsys):
         code = main(["sweep", "--scenario", "linearity", "--values", "0.75,1.0",
                      "--optimizer", "ps", "--runs", "2", "--budget", "20000",
@@ -689,6 +700,39 @@ class TestCli:
         path.write_text(dump_instance(suite_instance(2, seed=0)))
         assert main(["verify", "--instance", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "ok"
+
+    def _count_loads(self, monkeypatch):
+        import gnbg.cli
+
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return load_instance(text)
+
+        monkeypatch.setattr(gnbg.cli, "load_instance", counted)
+        return calls
+
+    def test_verify_parses_a_canonical_document_once(self, tmp_path, capsys, monkeypatch):
+        assert main(["suite", "--id", "5", "--seed", "0", "--out", str(tmp_path / "f5.json")]) == 0
+        calls = self._count_loads(monkeypatch)
+        assert main(["verify", "--instance", str(tmp_path / "f5.json")]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("how", ["compact", "int-for-float"])
+    def test_verify_probes_a_non_canonical_document(self, tmp_path, capsys, monkeypatch, how):
+        doc = serialize_instance(suite_instance(5, seed=0))
+        text = json.dumps(doc)
+        if how == "int-for-float":
+            doc["bounds"]["lower"][0] = -100
+            text = json.dumps(doc, indent=2) + "\n"
+        path = tmp_path / "inst.gnbg.json"
+        path.write_text(text)
+        calls = self._count_loads(monkeypatch)
+        assert main(["verify", "--instance", str(path)]) == 0
+        assert capsys.readouterr().out == "ok\n"
+        assert len(calls) == 2 and calls[0] == text
 
     def test_verify_requires_an_exact_round_trip(self, tmp_path, capsys, monkeypatch):
         """A document that reloads one ulp away is a mismatch, even where the
