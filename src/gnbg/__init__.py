@@ -8,7 +8,6 @@ from .core import (
     ProblemInstance,
     classify,
     dominated_components,
-    eval_component,
     evaluate,
     evaluate_batch,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "classify",
     "dominated_components",
     "dump_instance",
-    "eval_component",
     "evaluate",
     "evaluate_batch",
     "export_grid",

@@ -173,11 +173,6 @@ class _Kernel:
         return float(self(x[None])[0])
 
 
-def eval_component(comp: Component, x: np.ndarray) -> float:
-    """Value of one component at ``x``; always >= the component's floor."""
-    return _Kernel((comp,)).one(x)
-
-
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """A box-bounded minimization problem built from one or more components.
@@ -399,12 +394,3 @@ class BudgetedEvaluator:
                 break
         self.fe_used += len(values)
         return values
-
-    def error_at(self, fe: int) -> float:
-        """Best-so-far error after ``fe`` evaluations (staircase lookup)."""
-        err = np.inf
-        for used, e in self.history:
-            if used > fe:
-                break
-            err = e
-        return err

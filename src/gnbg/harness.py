@@ -1,5 +1,6 @@
-"""Experiment protocol: repeated seeded runs, milestone snapshots, success
-accounting, and aggregation into table-shaped reports.
+"""Experiment protocol: repeated seeded runs, success accounting, and
+aggregation into table-shaped reports.  Milestone errors are read off each
+run's history.
 
 Runs are embarrassingly parallel; each owns its evaluator and RNG, and the
 aggregation order is fixed by run index so reports are deterministic no
@@ -39,8 +40,8 @@ class ExperimentSpec:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if np.isnan(self.threshold):
-            raise ValueError("threshold must not be NaN")
+        if not self.threshold < np.inf:  # NaN too; -inf runs the whole budget
+            raise ValueError(f"threshold must be below inf, got {self.threshold}")
         ms = tuple(int(m) for m in self.milestones)
         if any(m < 1 for m in ms):
             raise ValueError("milestones must be >= 1")
@@ -68,7 +69,7 @@ class ExperimentReport:
 def _one_run(spec: ExperimentSpec, run_index: int) -> RunResult:
     evaluator = BudgetedEvaluator(spec.instance, spec.budget)
     cfg = replace(spec.optimizer, seed=spec.base_seed + run_index)
-    return run_optimizer(evaluator, cfg, spec.threshold, spec.milestones)
+    return run_optimizer(evaluator, cfg, spec.threshold)
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
@@ -101,7 +102,7 @@ def _run_all(specs: list[ExperimentSpec], workers: int) -> list[ExperimentReport
 def aggregate(spec: ExperimentSpec, results: tuple[RunResult, ...]) -> ExperimentReport:
     mean_errors, std_errors = {}, {}
     for m in spec.milestones:
-        errs = np.array([r.milestone_errors[m] for r in results])
+        errs = np.array([r.error_at(m) for r in results])
         mean_errors[m] = float(np.mean(errs))
         std_errors[m] = float(np.std(errs, ddof=1)) if len(errs) > 1 else 0.0
     fes = [r.fe_to_success for r in results if r.success]

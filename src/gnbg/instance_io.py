@@ -342,9 +342,9 @@ def report_to_dict(report: ExperimentReport) -> dict:
             {
                 "best_value": r.best_value,
                 "best_error": r.best_error,
-                "best_position": r.best_position.tolist(),
+                "best_position": None if r.best_position is None else r.best_position.tolist(),
                 "fe_used": r.fe_used,
-                "milestone_errors": {str(m): e for m, e in r.milestone_errors.items()},
+                "milestone_errors": {str(m): r.error_at(m) for m in report.milestones},
                 "fe_to_success": r.fe_to_success,
                 "success": r.success,
             }

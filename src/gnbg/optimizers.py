@@ -12,11 +12,17 @@ loop would evaluate them; candidates evaluated speculatively past the point
 where a run's course changes are neither charged nor recorded.  All keep
 candidates inside the box by clamping, stop as soon as the best error
 reaches the success threshold, and are bit-reproducible for a fixed seed.
+
+A run's ``RunResult`` keeps its staircase, ``history``: the (fe, error)
+pair of each improvement.  Its FE to success and its error after any FE
+count are read off that staircase.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import inf
 
 import numpy as np
 
@@ -48,18 +54,29 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one optimizer run on one budgeted evaluator."""
+    """Outcome of one optimizer run on one budgeted evaluator.
+    ``best_position`` is None when the run saw no finite value; ``history``
+    is the evaluator's (fe, error) pair at each improvement."""
 
     best_value: float
-    best_position: np.ndarray = field(repr=False)
+    best_position: np.ndarray | None = field(repr=False)
     best_error: float
     fe_used: int
-    milestone_errors: dict[int, float]
-    fe_to_success: int | None
     success: bool
+    history: tuple[tuple[int, float], ...] = field(repr=False)
+
+    @property
+    def fe_to_success(self) -> int | None:
+        # a run stops at the FE that reaches the threshold, its last improvement
+        return self.history[-1][0] if self.success else None
+
+    def error_at(self, fe: int) -> float:
+        """Best error after ``fe`` evaluations; inf before the first."""
+        k = bisect_right(self.history, (fe, inf))
+        return self.history[k - 1][1] if k else inf
 
 
-def _run(search, evaluator: BudgetedEvaluator, cfg, threshold, milestones) -> RunResult:
+def _run(search, evaluator: BudgetedEvaluator, cfg, threshold) -> RunResult:
     """Drive ``search(instance, cfg, rng)``: charge each ``(rows,
     stop_below)`` batch it yields and send it the values of the rows
     charged, until the best error reaches the threshold or the budget is
@@ -71,20 +88,17 @@ def _run(search, evaluator: BudgetedEvaluator, cfg, threshold, milestones) -> Ru
         if evaluator.best_error <= threshold or evaluator.fe_used == evaluator.max_fe:
             break
         rows, stop_below = steps.send(values)
-    return _finish(evaluator, threshold, milestones)
+    return _finish(evaluator, threshold)
 
 
-def _finish(evaluator, threshold, milestones) -> RunResult:
-    # a run stops at the FE that reaches the threshold, its last improvement
-    fe_to_success = evaluator.history[-1][0] if evaluator.best_error <= threshold else None
+def _finish(evaluator, threshold) -> RunResult:
     return RunResult(
         best_value=evaluator.best_value,
         best_position=evaluator.best_position,
         best_error=evaluator.best_error,
         fe_used=evaluator.fe_used,
-        milestone_errors={int(m): evaluator.error_at(m) for m in milestones},
-        fe_to_success=fe_to_success,
-        success=fe_to_success is not None,
+        success=evaluator.best_error <= threshold,
+        history=tuple(evaluator.history),
     )
 
 
@@ -236,13 +250,11 @@ def run_optimizer(
     evaluator: BudgetedEvaluator,
     cfg: OptimizerConfig,
     threshold: float = DEFAULT_THRESHOLD,
-    milestones: tuple[int, ...] = (),
 ) -> RunResult:
     """Run the baseline ``cfg.kind`` on ``evaluator`` until its best error
-    reaches ``threshold`` or the budget is used up, recording the best error
-    at each of ``milestones``."""
+    reaches ``threshold`` or the budget is used up."""
     if cfg.kind == "pso" and cfg.population > evaluator.max_fe:
         raise ValueError(
             f"population {cfg.population} exceeds budget {evaluator.max_fe}"
         )
-    return _run(SEARCHES[cfg.kind], evaluator, cfg, threshold, milestones)
+    return _run(SEARCHES[cfg.kind], evaluator, cfg, threshold)

@@ -12,9 +12,9 @@ from gnbg.core import (
     ProblemInstance,
     classify,
     dominated_components,
-    eval_component,
     evaluate,
 )
+from gnbg.optimizers import DEFAULT_THRESHOLD, _finish
 from gnbg.rotation import ThetaSpec, random_theta
 from gnbg.transform import TransformParams, apply_transform
 
@@ -62,6 +62,8 @@ class TestComponent:
 
 
 class TestEvalComponent:
+    """One component evaluated alone, as a one-component instance."""
+
     def test_value_at_center_is_sigma_exact(self):
         comp = _component(
             d=5,
@@ -72,28 +74,28 @@ class TestEvalComponent:
             transform=TransformParams((1.0, 0.5), (50, 25, 10, 5)),
             theta=random_theta(5, 1.0, np.random.default_rng(0)),
         )
-        assert eval_component(comp, comp.center) == -123.456
+        assert evaluate(_instance([comp], 5), comp.center) == -123.456
 
     def test_sphere_point(self):
-        assert eval_component(_component(), np.array([3.0, 4.0])) == 25.0
+        assert evaluate(_instance([_component()]), np.array([3.0, 4.0])) == 25.0
 
     def test_ellipsoid_equivalence(self):
         d = 30
         h = 10.0 ** (6 * np.arange(d) / (d - 1))
-        comp = _component(d=d, center=np.zeros(d), h_diag=h)
+        inst = _instance([_component(d=d, center=np.zeros(d), h_diag=h)], d)
         rng = np.random.default_rng(1)
         for x in rng.uniform(-100, 100, size=(100, d)):
             expected = float(np.sum(h * x**2))
-            assert eval_component(comp, x) == pytest.approx(expected, rel=1e-12)
+            assert evaluate(inst, x) == pytest.approx(expected, rel=1e-12)
 
     def test_scaling_law_with_exponent(self):
         d = 6
         h = np.array([1.0, 3.0, 10.0, 0.5, 7.0, 2.0])
-        comp = _component(d=d, center=np.zeros(d), h_diag=h, lam=0.35)
+        inst = _instance([_component(d=d, center=np.zeros(d), h_diag=h, lam=0.35)], d)
         rng = np.random.default_rng(2)
         for x in rng.uniform(-50, 50, size=(50, d)):
             expected = float(np.sum(h * x**2)) ** 0.35
-            assert eval_component(comp, x) == pytest.approx(expected, rel=1e-12)
+            assert evaluate(inst, x) == pytest.approx(expected, rel=1e-12)
 
     def test_rotation_keeps_minimum_in_place(self):
         rng = np.random.default_rng(3)
@@ -102,11 +104,11 @@ class TestEvalComponent:
             d=8, center=center, h_diag=rng.uniform(1, 100, size=8),
             theta=random_theta(8, 1.0, rng),
         )
-        assert eval_component(comp, center) == comp.sigma
+        assert evaluate(_instance([comp], 8), center) == comp.sigma
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            eval_component(_component(), np.zeros(3))
+            evaluate(_instance([_component()]), np.zeros(3))
 
 
 class TestProblemInstance:
@@ -136,7 +138,7 @@ class TestProblemInstance:
         b = _component(center=np.array([50.0, 50.0]), sigma=5.0)
         inst = _instance([a, b])
         x = np.array([50.0, 50.0])
-        assert evaluate(inst, x) == min(eval_component(a, x), eval_component(b, x))
+        assert evaluate(inst, x) == min(evaluate(_instance([a]), x), evaluate(_instance([b]), x))
         # the wide sigma=0 basin can undercut the sigma=5 component at its own center
         assert evaluate(inst, x) <= 5.0
 
@@ -265,7 +267,9 @@ class TestBudgetedEvaluator:
         ev(np.array([2.0, 0.0]))   # error 4
         ev(np.array([5.0, 0.0]))   # no improvement
         ev(np.array([1.0, 0.0]))   # error 1
-        assert ev.error_at(1) == 4.0
-        assert ev.error_at(2) == 4.0
-        assert ev.error_at(3) == 1.0
-        assert ev.error_at(100) == 1.0
+        run = _finish(ev, DEFAULT_THRESHOLD)
+        assert run.error_at(0) == np.inf
+        assert run.error_at(1) == 4.0
+        assert run.error_at(2) == 4.0
+        assert run.error_at(3) == 1.0
+        assert run.error_at(100) == 1.0

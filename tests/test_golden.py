@@ -1,5 +1,5 @@
-"""Golden corpus: stored instance hashes, evaluation values and short
-optimizer runs, compared exactly.
+"""Golden corpus: stored instance hashes, evaluation values, short
+optimizer runs and the bytes of two CLI reports, compared exactly.
 
 The corpus pins behaviour to stored bits, so a refactor that changes any
 instance byte, any evaluation bit, any RNG draw or any FE charge fails here.
@@ -12,12 +12,13 @@ import hashlib
 import json
 import pathlib
 import sys
+import tempfile
 from functools import partial
 
 import numpy as np
 import pytest
 
-from gnbg import generators
+from gnbg import cli, generators
 from gnbg.core import BudgetedEvaluator, evaluate
 from gnbg.generators import (
     SUITE_SIZE,
@@ -73,6 +74,16 @@ SCENARIOS = {
 }
 
 
+# CLI commands whose CSV and --json report bytes are pinned: a sweep through
+# the process pool, whose results come back pickled, and a run with milestones
+REPORT_COMMANDS = {
+    "sweep-linearity-ps": "sweep --scenario linearity --values 0.25,0.5,0.75,1.0"
+    " --optimizer ps --runs 8 --budget 2000 --seed 3 --workers 2",
+    "run-f24-de": "run --suite 24 --optimizer de --runs 3 --budget 3000"
+    " --milestones 500,1000,3000 --seed 1",
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -107,8 +118,8 @@ def scenario_record(name: str) -> str:
 def run_record(k: int, kind: str, threshold: float = DEFAULT_THRESHOLD) -> dict:
     evaluator = BudgetedEvaluator(suite_instance(k, 0), RUN_BUDGET)
     cfg = OptimizerConfig(kind=kind, seed=RUN_SEED)
-    result = run_optimizer(evaluator, cfg, threshold, RUN_MILESTONES)
-    history = ";".join(f"{fe}:{float(err).hex()}" for fe, err in evaluator.history)
+    result = run_optimizer(evaluator, cfg, threshold)
+    history = ";".join(f"{fe}:{float(err).hex()}" for fe, err in result.history)
     return {
         "best_value": float(result.best_value).hex(),
         "best_error": float(result.best_error).hex(),
@@ -116,10 +127,18 @@ def run_record(k: int, kind: str, threshold: float = DEFAULT_THRESHOLD) -> dict:
         "fe_used": result.fe_used,
         "fe_to_success": result.fe_to_success,
         "success": result.success,
-        "milestone_errors": {str(m): float(e).hex() for m, e in result.milestone_errors.items()},
-        "history_len": len(evaluator.history),
+        "milestone_errors": {str(m): result.error_at(m).hex() for m in RUN_MILESTONES},
+        "history_len": len(result.history),
         "history_sha256": _sha(history.encode()),
     }
+
+
+def report_record(name: str) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        csv, js = pathlib.Path(tmp, "report.csv"), pathlib.Path(tmp, "report.json")
+        argv = REPORT_COMMANDS[name].split() + ["--csv", str(csv), "--json", str(js)]
+        assert cli.main(argv) == 0
+        return {"csv_sha256": _sha(csv.read_bytes()), "json_sha256": _sha(js.read_bytes())}
 
 
 INSTANCE_KEYS = [(k, s) for s in INSTANCE_SEEDS for k in range(1, SUITE_SIZE + 1)]
@@ -130,6 +149,7 @@ RUN_KEYS += list(THRESHOLD_RUNS)
 def build_corpus() -> dict:
     return {
         "instances": {f"f{k}/s{s}": instance_record(k, s) for k, s in INSTANCE_KEYS},
+        "reports": {name: report_record(name) for name in REPORT_COMMANDS},
         "runs": {f"f{k}/{kind}/{t!r}": run_record(k, kind, t) for k, kind, t in RUN_KEYS},
         "scenarios": {name: scenario_record(name) for name in SCENARIOS},
     }
@@ -166,6 +186,11 @@ def test_threshold_run_stops_part_way(corpus, k, kind, threshold):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_scenario_instance(corpus, name):
     assert scenario_record(name) == corpus["scenarios"][name]
+
+
+@pytest.mark.parametrize("name", REPORT_COMMANDS)
+def test_report_bytes(corpus, name):
+    assert report_record(name) == corpus["reports"][name]
 
 
 DOCUMENTS = {f"f{k}-s{s}": partial(suite_instance, k, s) for k, s in INSTANCE_KEYS}

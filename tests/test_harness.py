@@ -69,7 +69,7 @@ class TestRunExperiment:
         report = run_experiment(spec)
         run = report.run_results[0]
         # the only milestone falls right at the end of initialization
-        assert run.milestone_errors[100] == run.best_error
+        assert run.error_at(100) == run.best_error
 
     def test_deterministic_reports(self):
         a = run_experiment(_spec())
@@ -81,7 +81,7 @@ class TestRunExperiment:
     def test_aggregation_statistics(self):
         report = run_experiment(_spec())
         for m in (10_000, 30_000):
-            errs = np.array([r.milestone_errors[m] for r in report.run_results])
+            errs = np.array([r.error_at(m) for r in report.run_results])
             assert report.mean_errors[m] == pytest.approx(float(np.mean(errs)))
             assert report.std_errors[m] == pytest.approx(float(np.std(errs, ddof=1)))
         fes = [r.fe_to_success for r in report.run_results if r.success]
@@ -98,6 +98,10 @@ class TestRunExperiment:
         parallel = run_experiment(_spec(), workers=3)
         assert serial.mean_errors == parallel.mean_errors
         assert serial.mean_fe_success == parallel.mean_fe_success
+        ms = serial.milestones
+        for a, b in zip(serial.run_results, parallel.run_results, strict=True):
+            assert a.history == b.history
+            assert [a.error_at(m) for m in ms] == [b.error_at(m) for m in ms]
 
 
 class TestSweep:

@@ -585,6 +585,31 @@ class TestCli:
         assert captured.out == ""
         assert "threshold" in captured.err
 
+    def _overflowing_sphere(self, tmp_path):
+        """A valid document whose every FE overflows to inf: a sphere at 0 in
+        a +-1e200 box, so a run never improves and keeps no position."""
+        box, comp = np.full(2, 1e200), Component(np.zeros(2), 0.0, np.ones(2))
+        path = tmp_path / "big.gnbg.json"
+        path.write_text(dump_instance(ProblemInstance(2, -box, box, (comp,))))
+        return str(path)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_run_without_a_finite_value_writes_null_position(self, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main(["run", "--instance", self._overflowing_sphere(tmp_path), "--optimizer",
+                     "ps", "--runs", "1", "--budget", "50", "--json", str(out)]) == 0
+        text = out.read_text()
+        assert '"best_position": null' in text and '"success": false' in text
+        (run,) = json.loads(text)[0]["run_results"]
+        assert (run["best_position"], run["success"], run["fe_used"]) == (None, False, 50)
+
+    def test_inf_threshold_is_data_error(self, tmp_path, capsys):
+        assert main(["run", "--instance", self._overflowing_sphere(tmp_path), "--optimizer",
+                     "ps", "--runs", "1", "--budget", "50", "--threshold", "inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold" in captured.err
+
     def test_sweep_json_report_matches_csv(self, tmp_path, capsys):
         csv_path, json_path = tmp_path / "report.csv", tmp_path / "report.json"
         assert main(["sweep", "--scenario", "linearity", "--values", "1.0,0.5,0.75",

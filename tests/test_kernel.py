@@ -17,7 +17,6 @@ from gnbg.core import (
     BudgetExhaustedError,
     Component,
     ProblemInstance,
-    eval_component,
     evaluate,
     evaluate_batch,
 )
@@ -124,11 +123,13 @@ class TestAgainstOracle:
         inst = ProblemInstance(5, np.full(5, -100.0), np.full(5, 100.0), components)
         _assert_exact(inst, _probe_points(inst, rng, 60))
 
-    def test_eval_component_is_the_one_component_case(self):
+    def test_one_component_instance_is_its_component(self):
         rng = np.random.default_rng(0)
         comp = suite_instance(24, 0).components[2]
+        box = np.full(comp.dim, 100.0)
+        inst = ProblemInstance(comp.dim, -box, box, (comp,))
         for x in rng.uniform(-100, 100, size=(50, comp.dim)):
-            assert eval_component(comp, x) == oracle_component(comp, x)
+            assert evaluate(inst, x) == oracle_component(comp, x)
 
     def test_apply_transform_matches(self):
         rng = np.random.default_rng(1)

@@ -24,7 +24,7 @@ class _Stop(Exception):
     pass
 
 
-def oracle_pso(evaluator, cfg, threshold=DEFAULT_THRESHOLD, milestones=()):
+def oracle_pso(evaluator, cfg, threshold=DEFAULT_THRESHOLD):
     rng = np.random.default_rng(cfg.seed)
     lower, upper = evaluator.instance.bounds
     d = evaluator.instance.dim
@@ -60,19 +60,19 @@ def oracle_pso(evaluator, cfg, threshold=DEFAULT_THRESHOLD, milestones=()):
                         g = i
     except (_Stop, BudgetExhaustedError):
         pass
-    return _finish(evaluator, threshold, milestones)
+    return _finish(evaluator, threshold)
 
 
 def _record(optimizer, instance, budget, cfg, threshold, milestones):
     """Every RunResult field and the history, floats as exact hex."""
     ev = BudgetedEvaluator(instance, budget)
-    r = optimizer(ev, cfg, threshold, milestones)
+    r = optimizer(ev, cfg, threshold)
     return {
         "best_value": float(r.best_value).hex(),
         "best_error": float(r.best_error).hex(),
         "best_position": np.asarray(r.best_position, dtype=float).tobytes(),
         "fe_used": r.fe_used,
-        "milestone_errors": {m: float(e).hex() for m, e in r.milestone_errors.items()},
+        "milestone_errors": {m: r.error_at(m).hex() for m in milestones},
         "fe_to_success": r.fe_to_success,
         "success": r.success,
         "history": [(fe, float(e).hex()) for fe, e in ev.history],
