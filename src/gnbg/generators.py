@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import Component, ProblemInstance
-from .rotation import ANGLE_RANGE, ThetaSpec, full_theta, random_theta
+from .rotation import ANGLE_RANGE, ThetaSpec, compose, full_theta, random_theta
 from .transform import TransformParams
 
 DEFAULT_DIM = 30
@@ -343,15 +343,18 @@ def suite_instance(index: int, seed: int = 0) -> ProblemInstance:
         raise ValueError(f"suite index must be in [1, {SUITE_SIZE}], got {index}")
     entry = _SUITE[index - 1]
     shared = partial(_stream, seed, "suite", index)
-    components = []
-    for k in range(entry.o):
-        slot = _Slot(shared, k, entry.o)
-        components.append(Component(
+    slots = [_Slot(shared, k, entry.o) for k in range(entry.o)]
+    thetas = [_value(entry.theta, slot) for slot in slots]
+    compose([theta for theta in thetas if theta is not None and not theta.is_identity()])
+    components = [
+        Component(
             center=_filled(_value(entry.center, slot)),
             sigma=_value(entry.sigma, slot),
             h_diag=_filled(_value(entry.h, slot)),
             lam=_value(entry.lam, slot),
             transform=TransformParams(_value(entry.mu, slot), _value(entry.omega, slot)),
-            theta=_value(entry.theta, slot),
-        ))
+            theta=theta,
+        )
+        for slot, theta in zip(slots, thetas)
+    ]
     return _instance(ScenarioConfig(seed=seed), components, f"suite-f{index}", index=index)

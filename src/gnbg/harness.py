@@ -15,7 +15,13 @@ from itertools import islice
 import numpy as np
 
 from .core import BudgetedEvaluator, ProblemInstance
-from .optimizers import DEFAULT_THRESHOLD, OptimizerConfig, RunResult, run_optimizer
+from .optimizers import (
+    DEFAULT_THRESHOLD,
+    OptimizerConfig,
+    RunResult,
+    check_threshold,
+    run_optimizer,
+)
 
 DEFAULT_RUNS = 31
 DEFAULT_BUDGET = 500_000
@@ -40,8 +46,7 @@ class ExperimentSpec:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if not self.threshold < np.inf:  # NaN too; -inf runs the whole budget
-            raise ValueError(f"threshold must be below inf, got {self.threshold}")
+        check_threshold(self.threshold)
         ms = tuple(int(m) for m in self.milestones)
         if any(m < 1 for m in ms):
             raise ValueError("milestones must be >= 1")
@@ -104,7 +109,8 @@ def aggregate(spec: ExperimentSpec, results: tuple[RunResult, ...]) -> Experimen
     for m in spec.milestones:
         errs = np.array([r.error_at(m) for r in results])
         mean_errors[m] = float(np.mean(errs))
-        std_errors[m] = float(np.std(errs, ddof=1)) if len(errs) > 1 else 0.0
+        with np.errstate(invalid="ignore"):  # an inf error makes the spread NaN
+            std_errors[m] = float(np.std(errs, ddof=1)) if len(errs) > 1 else 0.0
     fes = [r.fe_to_success for r in results if r.success]
     return ExperimentReport(
         knob=spec.knob,

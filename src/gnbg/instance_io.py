@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import Component, ProblemInstance, evaluate_batch
 from .harness import ExperimentReport
-from .rotation import ThetaSpec
+from .rotation import ThetaSpec, compose
 from .transform import TransformParams
 
 FORMAT_VERSION = "1.0"
@@ -143,6 +143,9 @@ def parse_instance(doc: dict) -> ProblemInstance:
 
     The parser checks structure and types; the constructors check values,
     and their errors are re-raised with the path of the field at fault.
+    Every component's fields are parsed before any rotation is composed, so
+    a field fault in a later component is reported before a value fault,
+    such as lost orthogonality, in an earlier one.
     """
     if not isinstance(doc, dict):
         raise InstanceFormatError("document: expected a JSON object")
@@ -159,7 +162,7 @@ def parse_instance(doc: dict) -> ProblemInstance:
     upper = _vector(bounds, "upper", dim, "bounds")
     raw_components = _require(doc, "components", list, "document")
 
-    components = []
+    parsed = []
     for k, raw in enumerate(raw_components):
         where = f"components[{k}]"
         if not isinstance(raw, dict):
@@ -178,9 +181,16 @@ def parse_instance(doc: dict) -> ProblemInstance:
         try:
             transform = TransformParams(tuple(mu), tuple(omega))
             theta = ThetaSpec.from_triples(dim, triples) if triples else None
-            components.append(
-                Component(center, sigma, h_diag, lam, transform, theta, rotation)
-            )
+        except ValueError as exc:
+            raise InstanceFormatError(f"{where}: {exc}") from None
+        parsed.append((where, theta, (center, sigma, h_diag, lam, transform, theta, rotation)))
+
+    # every component's rotation in one wavefront; each Component checks its own
+    compose([theta for _, theta, _ in parsed if theta is not None and not theta.is_identity()])
+    components = []
+    for where, _, args in parsed:
+        try:
+            components.append(Component(*args))
         except (ValueError, ArithmeticError) as exc:
             raise InstanceFormatError(f"{where}: {exc}") from None
 

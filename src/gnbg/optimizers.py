@@ -246,15 +246,26 @@ def _de_rows(instance, cfg: OptimizerConfig, rng: np.random.Generator):
 SEARCHES = {"ps": _pattern_search_rows, "pso": _pso_rows, "de": _de_rows}
 
 
+def check_threshold(threshold: float) -> None:
+    """Reject a success threshold that is not below inf: a run that sees no
+    finite value would count as a success.  NaN is rejected too; -inf runs
+    the whole budget."""
+    if not threshold < inf:
+        raise ValueError(f"threshold must be below inf, got {threshold}")
+
+
 def run_optimizer(
     evaluator: BudgetedEvaluator,
     cfg: OptimizerConfig,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> RunResult:
     """Run the baseline ``cfg.kind`` on ``evaluator`` until its best error
-    reaches ``threshold`` or the budget is used up."""
+    reaches ``threshold`` or the budget is used up.  A value that overflows
+    to inf is a value like any other, so the run raises no overflow warning."""
+    check_threshold(threshold)
     if cfg.kind == "pso" and cfg.population > evaluator.max_fe:
         raise ValueError(
             f"population {cfg.population} exceeds budget {evaluator.max_fe}"
         )
-    return _run(SEARCHES[cfg.kind], evaluator, cfg, threshold)
+    with np.errstate(over="ignore"):
+        return _run(SEARCHES[cfg.kind], evaluator, cfg, threshold)

@@ -4,7 +4,8 @@ interaction structures.
 Variable interactions are encoded as an upper-triangular matrix of plane
 angles (one angle per variable pair).  Composing the corresponding Givens
 factors yields an orthogonal matrix that couples exactly the pairs with a
-nonzero angle.
+nonzero angle.  ``compose`` composes the rotations of all of an instance's
+specs in one shared wavefront; ``rotation_from_theta`` is its one-spec case.
 """
 
 from __future__ import annotations
@@ -23,16 +24,19 @@ class ThetaSpec:
 
     Only entries strictly above the principal diagonal may be nonzero;
     ``angles[p-1, q-1]`` (1-indexed pair p < q) is the rotation angle for
-    the x_p - x_q plane.
+    the x_p - x_q plane.  ``angles`` is a read-only copy, so ``matrix``,
+    the composed rotation that ``compose`` caches, always matches it.
     """
 
     dim: int
     angles: np.ndarray = field(repr=False)
+    # the composed rotation, set by ``compose``; None until then
+    matrix: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        angles = np.asarray(self.angles, dtype=float)
+        angles = np.array(self.angles, dtype=float)
         if angles.shape != (self.dim, self.dim):
             raise ValueError(
                 f"angles must have shape ({self.dim}, {self.dim}), got {angles.shape}"
@@ -41,6 +45,7 @@ class ThetaSpec:
             raise ValueError("theta angles must be finite")
         if np.any(np.tril(angles) != 0.0):
             raise ValueError("angles on or below the principal diagonal must be zero")
+        angles.flags.writeable = False
         object.__setattr__(self, "angles", angles)
 
     @classmethod
@@ -69,30 +74,40 @@ class ThetaSpec:
         return self.num_nonzero() == 0
 
 
-def rotation_from_theta(theta_spec: ThetaSpec) -> np.ndarray:
-    """Compose the rotation matrix from a ThetaSpec.
+def compose(specs) -> None:
+    """Compose the rotation of every ThetaSpec in ``specs`` in one shared
+    wavefront and store it, read-only, as that spec's ``matrix``.
 
-    Iterates pairs p = 1..d-1 (outer), q = p+1..d (inner), right-multiplying
-    a Givens factor for every nonzero angle.  Zero angles are skipped, so the
-    all-zero spec yields the identity.
+    For each spec, iterates pairs p = 1..d-1 (outer), q = p+1..d (inner),
+    right-multiplying a Givens factor for every nonzero angle.  Zero angles
+    are skipped, so the all-zero spec yields the identity.
 
     The factors are applied by wavefront, t = p + q, one vectorized step per
-    t: at most 2d - 3 steps.  Two factors of one wavefront never share a
-    column (p1 < p2 and p1 + q1 = p2 + q2 give p1 < p2 < q2 < q1), so they
-    commute.  Column j meets its factors (p, j) at t = p + j < 2j and then
-    (j, q) at t = j + q > 2j, in row-major order, so each column takes the
-    same updates in the same order as in the row-major product.  A step
-    gathers its columns p and q and then their partners q and p, multiplies
-    them by (cos, cos, sin, -sin), and adds the partners in: every element
-    takes exactly the operations of the two-column update of each factor.
+    t: at most 2d - 3 steps, however many specs there are.  Two factors of
+    one spec and one wavefront never share a column (p1 < p2 and p1 + q1 =
+    p2 + q2 give p1 < p2 < q2 < q1), so they commute.  Column j meets its
+    factors (p, j) at t = p + j < 2j and then (j, q) at t = j + q > 2j, in
+    row-major order, so each column takes the same updates in the same order
+    as in the row-major product.  The columns of spec k are rows k*d.. of one
+    stacked array, so factors of different specs never meet.  A step gathers
+    its columns p and q and then their partners q and p, multiplies them by
+    (cos, cos, sin, -sin), and adds the partners in: every element takes
+    exactly the operations of the two-column update of each factor.
     """
-    d = theta_spec.dim
-    rt = np.eye(d)  # rt[j] is column j of R
-    ps, qs = np.nonzero(theta_spec.angles)  # row-major: the factors in order
+    specs = list(specs)
+    if not specs:
+        return
+    d = specs[0].dim
+    if any(spec.dim != d for spec in specs):
+        raise ValueError("specs composed together must share one dimension")
+    rt = np.tile(np.eye(d), (len(specs), 1))  # rt[k*d + j] is column j of spec k's R
+    pairs = [np.nonzero(spec.angles) for spec in specs]  # row-major: the factors in order
+    values = np.concatenate([spec.angles[pq] for spec, pq in zip(specs, pairs)])
+    ps, qs = (np.concatenate(ix) for ix in zip(*pairs))
     wave = ps + qs
-    order = np.argsort(wave, kind="stable")
-    ps, qs = ps[order], qs[order]
-    values = theta_spec.angles[ps, qs]
+    order = np.argsort(wave, kind="stable")  # keeps each spec's row-major order
+    offset = np.repeat(d * np.arange(len(specs)), [p.size for p, _ in pairs])[order]
+    ps, qs, values = ps[order] + offset, qs[order] + offset, values[order]
     cos, sin = np.cos(values), np.sin(values)
     cols = np.stack((ps, qs, qs, ps))  # updated columns, then their partners
     coef = np.stack((cos, cos, sin, -sin))[:, :, None]
@@ -105,7 +120,22 @@ def rotation_from_theta(theta_spec: ThetaSpec) -> np.ndarray:
         g[:2] += g[2:]
         rt[cols[:2, start:end]] = g[:2]
         start = end
-    r = rt.T.copy()
+    for k, spec in enumerate(specs):
+        r = rt[k * d:(k + 1) * d].T.copy()
+        r.flags.writeable = False
+        object.__setattr__(spec, "matrix", r)
+
+
+def rotation_from_theta(theta_spec: ThetaSpec) -> np.ndarray:
+    """The rotation matrix of a ThetaSpec, checked for orthogonality.
+
+    This is ``theta_spec.matrix``, composed alone by ``compose`` unless it
+    already was, with others or before.  Raises ArithmeticError when the
+    composed matrix is not orthogonal to within ``ORTHOGONALITY_TOL``.
+    """
+    if theta_spec.matrix is None:
+        compose([theta_spec])
+    r = theta_spec.matrix
     err = orthogonality_error(r)
     if not err <= ORTHOGONALITY_TOL:  # NaN-safe
         raise ArithmeticError(f"composed rotation lost orthogonality (error {err:.3e})")

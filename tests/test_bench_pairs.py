@@ -11,6 +11,14 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
+# the better direction and bound of each metric, as BENCHMARK.json declares them
+DECLARED = {
+    "fe_per_s": {"name": "fe_per_s", "better": "higher", "bound": 0.25},
+    "wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25},
+    "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+}
+
+
 def _run(seed, failed=0, **metrics):
     return {"seed": seed, "failed": failed, "attempted": 72, "metrics": metrics}
 
@@ -34,8 +42,7 @@ def test_assemble_counts_wins_by_direction():
               _run(3, fe_per_s=100.0, wall_s=2.0, failed=1)]
     change = [_run(1, fe_per_s=110.0, wall_s=1.0), _run(2, fe_per_s=90.0, wall_s=2.0),
               _run(3, fe_per_s=100.0, wall_s=3.0)]
-    better = {"fe_per_s": "higher", "wall_s": "lower"}
-    record = bench_pairs.assemble(parent, change, better, {"workload": "w", "numpy": "x"})
+    record = bench_pairs.assemble(parent, change, DECLARED, {"workload": "w", "numpy": "x"})
     assert record["workload"] == "w" and record["numpy"] == "x"
     assert record["change_wins"] == {"fe_per_s": 1, "wall_s": 1}  # ties are not wins
     assert record["failed"] == {"parent": 1, "change": 0}
@@ -52,5 +59,46 @@ def test_assemble_counts_wins_by_direction():
 def test_assemble_reads_direction_after_workload_prefix():
     parent = [_run(1, **{"a:fe_per_s": 1.0, "b:wall_s": 1.0})] * 2
     change = [_run(1, **{"a:fe_per_s": 2.0, "b:wall_s": 2.0})] * 2
-    record = bench_pairs.assemble(parent, change, {"fe_per_s": "higher", "wall_s": "lower"}, {})
+    record = bench_pairs.assemble(parent, change, DECLARED, {})
     assert record["change_wins"] == {"a:fe_per_s": 2, "b:wall_s": 0}
+    assert record["gain_resolved"] == {"a:fe_per_s": True, "b:wall_s": False}
+    assert record["regressed"] == {"a:fe_per_s": False, "b:wall_s": True}
+
+
+def _pairs(key, parent_values, change_values):
+    return ([_run(s, **{key: v}) for s, v in enumerate(parent_values)],
+            [_run(s, **{key: v}) for s, v in enumerate(change_values)])
+
+
+def _verdicts(key, parent_values, change_values):
+    record = bench_pairs.assemble(*_pairs(key, parent_values, change_values), DECLARED, {})
+    return record["gain_resolved"][key], record["regressed"][key]
+
+
+PARENT = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]  # median 14.5, IQR 4.5
+
+
+def test_gain_needs_nine_of_ten_wins_and_a_median_past_the_iqr():
+    assert _verdicts("d:wall_s", PARENT, [v - 5.0 for v in PARENT]) == (True, False)
+    # past the IQR in the median, but one pair lost and one tied: 8/10
+    lost = [v - 5.0 for v in PARENT[:8]] + [PARENT[8] + 1.0, PARENT[9]]
+    assert _verdicts("d:wall_s", PARENT, lost) == (False, False)
+    # every pair won, but the median moves by the IQR only, not past it
+    assert _verdicts("d:wall_s", PARENT, [v - 4.5 for v in PARENT]) == (False, False)
+    # higher is better for fe_per_s: the same shift down is a loss
+    assert _verdicts("d:fe_per_s", PARENT, [v - 5.0 for v in PARENT]) == (False, True)
+
+
+def test_ties_are_neither_gain_nor_regression():
+    assert _verdicts("d:wall_s", PARENT, PARENT) == (False, False)
+    assert _verdicts("d:fe_per_s", [5.0] * 10, [5.0] * 10) == (False, False)
+
+
+def test_regression_is_relative_to_the_parent_median_and_the_declared_bound():
+    # wall_s bound 0.25 of the 14.5 median: 3.625 worse is the edge
+    assert _verdicts("d:wall_s", PARENT, [v + 3.5 for v in PARENT]) == (False, False)
+    assert _verdicts("d:wall_s", PARENT, [v + 3.75 for v in PARENT]) == (False, True)
+    # peak_rss_mb's bound is 0.1
+    assert _verdicts("d:peak_rss_mb", PARENT, [v + 1.5 for v in PARENT]) == (False, True)
+    # a negative parent median: the bound is taken on its magnitude
+    assert _verdicts("d:wall_s", [-v for v in PARENT], [-v + 3.75 for v in PARENT]) == (False, True)

@@ -593,7 +593,7 @@ class TestCli:
         path.write_text(dump_instance(ProblemInstance(2, -box, box, (comp,))))
         return str(path)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_run_without_a_finite_value_writes_null_position(self, tmp_path, capsys):
         out = tmp_path / "out.json"
         assert main(["run", "--instance", self._overflowing_sphere(tmp_path), "--optimizer",
@@ -602,6 +602,16 @@ class TestCli:
         assert '"best_position": null' in text and '"success": false' in text
         (run,) = json.loads(text)[0]["run_results"]
         assert (run["best_position"], run["success"], run["fe_used"]) == (None, False, 50)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_runs_in_pool_workers_print_no_warning(self, tmp_path, capfd):
+        out = tmp_path / "out.json"
+        assert main(["run", "--instance", self._overflowing_sphere(tmp_path), "--optimizer",
+                     "ps", "--runs", "2", "--budget", "50", "--workers", "2",
+                     "--json", str(out)]) == 0
+        assert "Warning" not in capfd.readouterr().err
+        runs = json.loads(out.read_text())[0]["run_results"]
+        assert [(r["best_position"], r["fe_used"]) for r in runs] == [(None, 50)] * 2
 
     def test_inf_threshold_is_data_error(self, tmp_path, capsys):
         assert main(["run", "--instance", self._overflowing_sphere(tmp_path), "--optimizer",

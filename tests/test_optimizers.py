@@ -307,6 +307,20 @@ class TestThresholdStop:
         result = run_optimizer(ev, OptimizerConfig(kind="ps", seed=0))
         assert result.success == (result.fe_to_success is not None)
 
+    @pytest.mark.parametrize("threshold", [np.inf, np.nan])
+    def test_threshold_not_below_inf_rejected(self, threshold):
+        # at inf, a run that sees no finite value would count as a success
+        ev = BudgetedEvaluator(gen_linearity(1.0), 50)
+        with pytest.raises(ValueError, match="threshold must be below inf"):
+            run_optimizer(ev, OptimizerConfig(kind="ps", seed=0), threshold=threshold)
+        assert ev.fe_used == 0
+
+    @pytest.mark.parametrize("kind", ["ps", "pso", "de"])
+    def test_minus_inf_threshold_runs_the_whole_budget(self, kind):
+        ev = BudgetedEvaluator(gen_linearity(1.0), 50)
+        result = run_optimizer(ev, OptimizerConfig(kind=kind, seed=0, population=4), -np.inf)
+        assert (result.fe_used, result.success, result.fe_to_success) == (50, False, None)
+
 
 @pytest.mark.parametrize("kind", ["ps", "pso", "de"])
 def test_spent_budget_charges_nothing(kind):

@@ -11,6 +11,7 @@ from gnbg.generators import suite_instance
 from gnbg.rotation import (
     ORTHOGONALITY_TOL,
     ThetaSpec,
+    compose,
     full_theta,
     orthogonality_error,
     random_theta,
@@ -183,11 +184,11 @@ class TestAgainstLoop:
 
 
 @st.composite
-def pair_structures(draw):
-    """Specs of 1 to 40 dimensions whose pairs are a random subset, the chain
-    (i, i+1), one row, one column or the whole triangle; angles uniform over
-    [-pi, pi], some or all of them at exactly -pi or pi."""
-    d = draw(st.integers(1, 40))
+def pair_structures(draw, dim=None):
+    """Specs of ``dim`` dimensions, or of 1 to 40, whose pairs are a random
+    subset, the chain (i, i+1), one row, one column or the whole triangle;
+    angles uniform over [-pi, pi], some or all of them at exactly -pi or pi."""
+    d = draw(st.integers(1, 40)) if dim is None else dim
     ps, qs = np.triu_indices(d, 1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.sampled_from(["subset", "chain", "row", "column", "full"]))
@@ -238,6 +239,45 @@ class TestWavefrontComposition:
         monkeypatch.setattr(gnbg.rotation, "orthogonality_error", lambda r: 1.0)
         with pytest.raises(InstanceFormatError, match=r"^components\[0\]: composed rotation lost orthogonality"):
             load_instance(text)
+
+    def test_lost_orthogonality_names_a_later_component(self, monkeypatch):
+        import gnbg.rotation
+        from gnbg.instance_io import InstanceFormatError, dump_instance, load_instance
+
+        text = dump_instance(suite_instance(17, seed=0))  # five rotated components
+        calls = []
+
+        def third_fails(r):
+            calls.append(r)
+            return 1.0 if len(calls) == 3 else 0.0
+
+        monkeypatch.setattr(gnbg.rotation, "orthogonality_error", third_fails)
+        with pytest.raises(InstanceFormatError, match=r"^components\[2\]: composed rotation lost orthogonality"):
+            load_instance(text)
+
+
+class TestCompose:
+    """``compose`` runs one wavefront over several specs and gives each the
+    bits it gets composed alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda d: st.lists(pair_structures(d), min_size=1, max_size=4)))
+    def test_each_spec_gets_loop_bits(self, specs):
+        compose(specs)
+        for spec in specs:
+            assert np.array_equal(spec.matrix.view(np.int64), loop_rotation(spec).view(np.int64))
+            assert rotation_from_theta(spec) is spec.matrix
+
+    def test_matrix_is_read_only_and_shared_with_the_component(self):
+        inst = suite_instance(24, seed=0)
+        for comp in inst.components:
+            assert comp.rotation is comp.theta.matrix
+            assert not comp.rotation.flags.writeable
+
+    def test_dimensions_must_match(self):
+        with pytest.raises(ValueError, match="one dimension"):
+            compose([full_theta(3, 0.1), full_theta(4, 0.1)])
+        compose([])  # nothing to compose
 
 
 @st.composite

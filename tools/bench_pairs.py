@@ -5,8 +5,9 @@ Usage, from the root of a checkout:
     python3 tools/bench_pairs.py --parent HEAD --out BENCH_<n>.json \
         --seed 41 --workload all --seconds 36
 
-The parent revision is checked out in a temporary git worktree, which is
-removed afterwards; the change is this checkout's working tree.  Each tree
+The parent revision is extracted with ``git archive`` into a temporary
+directory, which is removed afterwards; the change is this checkout's
+working tree.  Each tree
 runs its own, unmodified ``perfbench/run.py``, with every argument not named
 here passed through unchanged, so perfbench's defaults stay its own.  Pair i
 of the ``PAIRS`` pairs runs both trees with seed ``--seed + i``, the parent
@@ -16,7 +17,13 @@ machine does not fall on one side only.
 The JSON written holds every run's metrics and ``failed`` count, each
 metric's median per side with the parent's interquartile range, the number
 of pairs the change won (by each metric's better direction in
-BENCHMARK.json), and the Python and numpy versions and CPU count.
+BENCHMARK.json), two verdicts per metric, and the Python and numpy versions
+and CPU count.  The verdicts:
+
+- ``gain_resolved``: the change won at least 9 of 10 pairs, and its median
+  beats the parent's by more than the parent's interquartile range;
+- ``regressed``: the change's median is worse than the parent's by more than
+  the metric's ``bound`` in BENCHMARK.json, relative to the parent's median.
 """
 
 from __future__ import annotations
@@ -32,8 +39,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# the fewest alternating pairs that can support a claimed gain
+# the fewest alternating pairs that can support a claimed gain, and the
+# share of them the change must win
 PAIRS = 10
+GAIN_SHARE = 0.9
 
 
 def run_bench(tree: Path, bench_args: list[str], seed: int) -> dict:
@@ -64,26 +73,36 @@ def iqrs(runs: list[dict]) -> dict:
     return out
 
 
-def assemble(parent: list[dict], change: list[dict], better: dict, info: dict) -> dict:
+def assemble(parent: list[dict], change: list[dict], declared: dict, info: dict) -> dict:
     """The record of ``parent`` and ``change`` runs paired by index.
 
-    ``better`` maps a metric name to "lower" or "higher"; a metric key may
+    ``declared`` maps a metric name to its BENCHMARK.json entry, of which
+    "better" ("lower" or "higher") and "bound" are read; a metric key may
     carry a workload prefix (``suite-protocol:fe_per_s``).  A pair counts as
     won when the change's value is strictly better.
     """
-    wins = {}
+    median = {"parent": medians(parent), "change": medians(change)}
+    parent_iqr = iqrs(parent)
+    wins, gain, regressed = {}, {}, {}
     for key in parent[0]["metrics"]:
-        sign = 1 if better[key.rsplit(":", 1)[-1]] == "higher" else -1
+        metric = declared[key.rsplit(":", 1)[-1]]
+        sign = 1 if metric["better"] == "higher" else -1
         wins[key] = sum(sign * (c["metrics"][key] - p["metrics"][key]) > 0
                         for p, c in zip(parent, change))
+        was, now = median["parent"][key], median["change"][key]
+        gain[key] = (wins[key] >= GAIN_SHARE * len(parent)
+                     and sign * (now - was) > parent_iqr[key])
+        regressed[key] = sign * (was - now) > metric["bound"] * abs(was)
     return {
         **info,
         "pairs": [{"parent": p, "change": c} for p, c in zip(parent, change)],
         "failed": {"parent": sum(r["failed"] for r in parent),
                    "change": sum(r["failed"] for r in change)},
-        "median": {"parent": medians(parent), "change": medians(change)},
-        "parent_iqr": iqrs(parent),
+        "median": median,
+        "parent_iqr": parent_iqr,
         "change_wins": wins,
+        "gain_resolved": gain,
+        "regressed": regressed,
     }
 
 
@@ -102,7 +121,7 @@ def main(argv=None) -> int:
     import numpy
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    declared = {m["name"]: m for m in spec["end_to_end"]}
     info = {
         "perfbench_args": bench_args,
         "parent": _git("rev-parse", args.parent),
@@ -114,22 +133,24 @@ def main(argv=None) -> int:
     parent, change = [], []
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(tree), info["parent"])
-        try:
-            for i in range(PAIRS):
-                seed = args.seed + i
-                order = [(tree, parent), (ROOT, change)]
-                for where, runs in order if i % 2 == 0 else order[::-1]:
-                    runs.append(run_bench(where, bench_args, seed))
-                    print(f"pair {i} {'parent' if runs is parent else 'change'}: "
-                          f"failed {runs[-1]['failed']}", file=sys.stderr)
-        finally:
-            _git("worktree", "remove", "--force", str(tree))
-    record = assemble(parent, change, better, info)
+        tree.mkdir()
+        archive = subprocess.run(["git", "archive", info["parent"]], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        for i in range(PAIRS):
+            seed = args.seed + i
+            order = [(tree, parent), (ROOT, change)]
+            for where, runs in order if i % 2 == 0 else order[::-1]:
+                runs.append(run_bench(where, bench_args, seed))
+                print(f"pair {i} {'parent' if runs is parent else 'change'}: "
+                      f"failed {runs[-1]['failed']}", file=sys.stderr)
+    record = assemble(parent, change, declared, info)
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     for key in record["change_wins"]:
         print(f"{key:36s} {record['median']['parent'][key]:.6g} -> "
-              f"{record['median']['change'][key]:.6g}  won {record['change_wins'][key]}/{PAIRS}")
+              f"{record['median']['change'][key]:.6g}  won {record['change_wins'][key]}/{PAIRS}"
+              f"  gain_resolved={record['gain_resolved'][key]}"
+              f"  regressed={record['regressed'][key]}")
     return 0
 
 
