@@ -241,7 +241,9 @@ def _emit_reports(args, reports) -> None:
     else:
         sys.stdout.write(text)
     if args.json is not None:
-        payload = json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+        # strict JSON: a non-finite float that reached here would fail loudly
+        payload = json.dumps([report_to_dict(r) for r in reports], indent=2,
+                             allow_nan=False) + "\n"
         _write_out(payload, args.json)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from itertools import chain
 from operator import itemgetter
 
@@ -337,24 +338,32 @@ def csv_report_text(reports: list[ExperimentReport]) -> str:
     return buf.getvalue()
 
 
+def _json_float(value):
+    """A float for a JSON document: ``None`` (``null``) where it is not
+    finite, since ``inf`` and NaN are not JSON."""
+    return value if value is None or math.isfinite(value) else None
+
+
 def report_to_dict(report: ExperimentReport) -> dict:
     """JSON-ready record: the aggregates, and each run's best value, error and
-    position, FE used, milestone errors, FE to success and success."""
+    position, FE used, milestone errors, FE to success and success.  A
+    non-finite float (an error no run brought below inf, or its NaN spread)
+    is ``None``."""
     return {
-        "knob": report.knob,
+        "knob": _json_float(report.knob),
         "runs": report.runs,
         "milestones": list(report.milestones),
-        "mean_errors": {str(m): report.mean_errors[m] for m in report.milestones},
-        "std_errors": {str(m): report.std_errors[m] for m in report.milestones},
-        "mean_fe_success": report.mean_fe_success,
+        "mean_errors": {str(m): _json_float(report.mean_errors[m]) for m in report.milestones},
+        "std_errors": {str(m): _json_float(report.std_errors[m]) for m in report.milestones},
+        "mean_fe_success": _json_float(report.mean_fe_success),
         "success_rate": report.success_rate,
         "run_results": [
             {
-                "best_value": r.best_value,
-                "best_error": r.best_error,
+                "best_value": _json_float(r.best_value),
+                "best_error": _json_float(r.best_error),
                 "best_position": None if r.best_position is None else r.best_position.tolist(),
                 "fe_used": r.fe_used,
-                "milestone_errors": {str(m): r.error_at(m) for m in report.milestones},
+                "milestone_errors": {str(m): _json_float(r.error_at(m)) for m in report.milestones},
                 "fe_to_success": r.fe_to_success,
                 "success": r.success,
             }

@@ -613,6 +613,43 @@ class TestCli:
         runs = json.loads(out.read_text())[0]["run_results"]
         assert [(r["best_position"], r["fe_used"]) for r in runs] == [(None, 50)] * 2
 
+    def test_json_report_is_strict_json(self, tmp_path, capsys):
+        """Errors no run brought below inf, and their NaN spread, are null."""
+        out = tmp_path / "out.json"
+        assert main(["run", "--instance", self._overflowing_sphere(tmp_path), "--optimizer",
+                     "ps", "--runs", "2", "--budget", "50", "--json", str(out)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        (report,) = json.loads(out.read_text(), parse_constant=reject)
+        assert set(report["mean_errors"].values()) == set(report["std_errors"].values()) == {None}
+        for run in report["run_results"]:
+            assert (run["best_value"], run["best_error"]) == (None, None)
+            assert set(run["milestone_errors"].values()) == {None}
+
+    def _overflowing_power(self, tmp_path):
+        """A valid document whose lam = 1.5 power overflows away from its
+        centre: the quadratic form is finite, its power is not."""
+        comp = Component(np.zeros(2), 0.0, np.full(2, 1e250), lam=1.5)
+        box = np.full(2, 100.0)
+        path = tmp_path / "power.gnbg.json"
+        path.write_text(dump_instance(ProblemInstance(2, -box, box, (comp,))))
+        return str(path)
+
+    def test_evaluate_overflowing_power_prints_inf(self, tmp_path, capsys):
+        point = tmp_path / "point.json"
+        point.write_text("[[50, 50], [0, 0]]")
+        assert main(["evaluate", "--instance", self._overflowing_power(tmp_path),
+                     "--point", str(point)]) == 0
+        assert capsys.readouterr().out == "inf\n0.0\n"
+
+    def test_run_on_overflowing_power_reports_inf(self, tmp_path, capsys):
+        assert main(["run", "--instance", self._overflowing_power(tmp_path), "--optimizer",
+                     "ps", "--runs", "1", "--budget", "50", "--milestones", "50"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert row.split(",")[1] == "inf"
+
     def test_inf_threshold_is_data_error(self, tmp_path, capsys):
         assert main(["run", "--instance", self._overflowing_sphere(tmp_path), "--optimizer",
                      "ps", "--runs", "1", "--budget", "50", "--threshold", "inf"]) == 2

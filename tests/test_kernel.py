@@ -5,6 +5,7 @@ component at a time, transform included, minimum taken in Python.  The
 kernel must reproduce it bit for bit, one point at a time and in batches.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gnbg import core
 from gnbg.core import (
     BudgetedEvaluator,
     BudgetExhaustedError,
@@ -28,7 +30,7 @@ from gnbg.generators import (
     suite_instance,
 )
 from gnbg.rotation import random_theta
-from gnbg.transform import TransformParams, apply_transform, sign_table
+from gnbg.transform import TransformParams, apply_transform, modulate, sign_table
 
 _TINY = np.finfo(float).tiny
 
@@ -333,3 +335,135 @@ class TestBudgetedBatch:
             with pytest.raises(BudgetExhaustedError):
                 charge_one(oracle, x)
             assert _state(ev) == _state(oracle)
+
+
+@st.composite
+def screened_cases(draw):
+    """An instance of 2-6 components and rows that stress the screen's
+    bounds: exact ties (a component repeated), a centre shared by every
+    component (as in f23), components at the origin with rows whose z is in
+    float32's subnormal range, rows at a centre (z = 0), untransformed
+    components among transformed ones, h up to 1.6e308 with lambda up to
+    2, h down to 1e-315 (subnormal products), and, when ``tie`` is drawn, sigmas that bring every component's value at
+    the first row within 1e-4 relative of the others'."""
+    d = draw(st.integers(1, 6))
+    o = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shared = draw(st.sampled_from([None, "random", "origin"]))
+    shared_center = np.zeros(d) if shared == "origin" else rng.uniform(-80, 80, d)
+    components = []
+    for _ in range(o):
+        if components and draw(st.integers(0, 4)) == 0:
+            components.append(components[rng.integers(len(components))])
+            continue
+        if shared is not None:
+            center = shared_center
+        else:
+            center = np.zeros(d) if draw(st.integers(0, 3)) == 0 else rng.uniform(-80, 80, d)
+        if draw(st.integers(0, 3)) == 0:
+            transform = TransformParams()
+        else:
+            omega = rng.uniform(0.0, 100.0, 4)
+            if draw(st.booleans()):
+                omega[1], omega[3] = omega[0], omega[2]
+            transform = TransformParams(tuple(rng.uniform(0.0, 1.0, 2)), tuple(omega))
+        h_range = draw(st.sampled_from([(-3, 3), (-3, 3), (150, 308.2), (-315, -250)]))
+        components.append(Component(
+            center=center,
+            sigma=draw(st.floats(-1e3, 1e3)),
+            h_diag=10.0 ** rng.uniform(*h_range, d),
+            lam=draw(st.sampled_from([1.0, 1.0, 0.05, 0.25, 0.5, 0.9, 1.5, 2.0])),
+            transform=transform,
+            rotation=np.linalg.qr(rng.standard_normal((d, d)))[0] if draw(st.booleans()) else None,
+        ))
+    box = np.full(d, 100.0)
+    rows = [rng.uniform(-100, 100, size=(8, d)),
+            10.0 ** -rng.uniform(36, 46, size=(4, 1)) * rng.standard_normal((4, d))]
+    for c in components:
+        rows += [c.center[None], c.center + 10.0 ** -rng.integers(1, 12) * rng.standard_normal(d)]
+    X = np.vstack(rows)
+    if draw(st.booleans()):  # near ties at X[0]
+        parts = []
+        for c in components:
+            one = ProblemInstance(d, -box, box, (dataclasses.replace(c, sigma=0.0),))
+            with np.errstate(over="ignore"):
+                parts.append(evaluate(one, X[0]))
+        offsets = 10.0 ** -rng.uniform(4, 12, o) * rng.choice([-1.0, 1.0], o)
+        components = [dataclasses.replace(c, sigma=-p * (1.0 + r)) if np.isfinite(p) else c
+                      for c, p, r in zip(components, parts, offsets)]
+    return ProblemInstance(d, -box, box, tuple(components)), X
+
+
+class TestScreen:
+    """The screened kernel against the exact one it stands in for."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(screened_cases())
+    def test_screen_is_the_exact_kernel(self, case):
+        inst, X = case
+        kernel = inst._kernel
+        with np.errstate(over="ignore"):  # h near the largest float overflows forms
+            assert np.array_equal(kernel.screen(X), kernel.exact(X))
+
+    def test_h_near_the_largest_float(self):
+        """h / 2**e is scaled without forming 2**1024: a component with h
+        above 2**1023 keeps a true upper bound, so it cannot screen out
+        the smaller component that is each row's minimum."""
+        transform = TransformParams((0.3, 0.4), (10, 20, 30, 40))
+        components = (Component(np.zeros(2), 0.0, np.full(2, 1.6e308), transform=transform),
+                      Component(np.zeros(2), 1e272, np.ones(2), transform=transform),
+                      Component(np.full(2, -50.0), 1e300, np.ones(2), transform=transform))
+        inst = ProblemInstance(2, np.full(2, -100.0), np.full(2, 100.0), components)
+        X = np.arange(1.0, 5.0)[:, None] * np.full((4, 2), 1e-18)
+        assert inst._kernel.screen(X).tolist() == [1e272] * 4
+
+    def test_form_that_overflows_before_its_power(self):
+        """The exact path's quadratic form overflows to inf even where
+        lam < 1 would bring the value back into range; such a component's
+        upper bound is inf, so it cannot screen out the finite minimum."""
+        transform = TransformParams((0.3, 0.4), (10, 20, 30, 40))
+        components = (Component(np.zeros(2), 0.0, np.full(2, 1e305), lam=0.05,
+                                transform=transform),
+                      Component(np.full(2, 50.0), 0.0, np.full(2, 1e303)))
+        inst = ProblemInstance(2, np.full(2, -100.0), np.full(2, 100.0), components)
+        X = np.array([[-50.0, -50.0], [-60.0, -40.0]])
+        with np.errstate(over="ignore"):
+            exact = inst._kernel.exact(X)
+            assert np.array_equal(inst._kernel.screen(X), exact)
+        assert np.isfinite(exact).all()
+
+    def test_screen_transforms_about_one_component_per_row(self, monkeypatch):
+        """On fresh f24 rows, a 100-row batch sends at most 1.1 components per
+        row through the exact transform (the exact path sends all 5), and
+        its values are a one-row loop's, bit for bit."""
+        inst = suite_instance(24, 0)
+        X = np.random.default_rng(0).uniform(-100, 100, size=(100, inst.dim))
+        counted = []
+
+        def counting(a, *args):
+            counted.append(a.size)
+            return modulate(a, *args)
+
+        monkeypatch.setattr(core, "modulate", counting)
+        values = evaluate_batch(inst, X)
+        assert 0 < sum(counted) <= 1.1 * 100 * inst.dim
+        monkeypatch.undo()
+        assert np.array_equal(values, [evaluate(inst, x) for x in X])
+
+
+class TestPowerOverflow:
+    """A lambda > 1 power beyond float's range is inf, as the quadratic
+    form's own overflow is, and every finite value keeps its bits."""
+
+    def _instance(self, d=2):
+        comp = Component(np.zeros(d), 0.0, np.full(d, 1e250), lam=1.5)
+        return ProblemInstance(d, np.full(d, -100.0), np.full(d, 100.0), (comp,))
+
+    def test_overflowing_power_is_inf(self):
+        inst = self._instance()
+        assert evaluate(inst, np.full(2, 50.0)) == np.inf
+        X = np.array([[50.0, 50.0], [1e-60, 0.0], [0.0, 0.0], [3e-100, -2e-100]])
+        expected = [np.inf, (1e250 * 1e-60 * 1e-60) ** 1.5, 0.0,
+                    oracle_evaluate(inst, X[3])]
+        assert evaluate_batch(inst, X).tolist() == expected
+        assert [evaluate(inst, x) for x in X] == expected
