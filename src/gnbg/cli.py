@@ -30,6 +30,7 @@ from .harness import (
 )
 from .instance_io import (
     InstanceFormatError,
+    _json_float,
     csv_report_text,
     dump_instance,
     export_grid,
@@ -278,13 +279,15 @@ def _cmd_grid(args) -> int:
     else:
         fixed = instance.optimum_position
     doc = export_grid(instance, args.i, args.j, args.resolution, fixed)
-    _write_out(json.dumps(doc, indent=2) + "\n", args.out)
+    _write_out(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
     record = classify(load_instance(_read(args.instance)))
-    sys.stdout.write(json.dumps(record, indent=2) + "\n")
+    for entry in (record, *record["components"]):  # an overflowed ratio is null
+        entry["condition_number"] = _json_float(entry["condition_number"])
+    sys.stdout.write(json.dumps(record, indent=2, allow_nan=False) + "\n")
     return EXIT_OK
 
 

@@ -95,7 +95,9 @@ class Component:
 
     @property
     def condition_number(self) -> float:
-        return float(np.max(self.h_diag) / np.min(self.h_diag))
+        """max h / min h; inf where the ratio overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.max(self.h_diag) / np.min(self.h_diag))
 
     @property
     def basin_linearity(self) -> str:
@@ -130,21 +132,22 @@ def _pow_or_inf(v: float, lam: float) -> float:
 
 # --- The float32 screen ------------------------------------------------------
 #
-# A batch on an instance with t >= 3 transformed components is screened when
-# its rows times (t - 2) reach _SCREEN_WORK: every (row, component) pair gets
-# a lower and an upper bound on its value from a float32 copy of the
-# transform, and the exact float64 transform, quadratic form and power run
-# only on the candidates, the pairs whose lower bound is at most the row's
-# smallest upper bound.  The component that attains the row's minimum is
-# always a candidate and every other component's exact value is at least
-# that minimum, so the minimum over the candidates has the bits of the
-# minimum over all components: loose bounds only cost speed.  The screen
-# costs a fixed ~50 us per call and saves most of the transform of t - 1
-# components per row.  On fresh 30-D points it broke even at 10-16 rows with
-# t = 5, 16-24 with t = 4, 24-32 with t = 3 and not below 60 with t = 2;
-# _SCREEN_WORK takes the upper ends.  That keeps pattern search's 15-row
-# polls exact: their rows differ in one coordinate, libm's sin runs warm on
-# them, and screened they took 1.06-1.37 times as long.
+# A batch on an instance of o >= 3 components, all transformed and sharing
+# one lambda, is screened when its rows times (o - 2) reach _SCREEN_WORK:
+# every (row, component) pair gets a lower and an upper bound on its value
+# from a float32 copy of the transform, and the exact float64 transform,
+# quadratic form and power run only on the candidates, the pairs whose lower
+# bound is at most the row's smallest upper bound.  The component that
+# attains the row's minimum is always a candidate and every other component's
+# exact value is at least that minimum, so the minimum over the candidates
+# has the bits of the minimum over all components: loose bounds only cost
+# speed.  Any other instance takes the exact path.  The screen costs a fixed
+# ~50 us per call and saves most of the transform of o - 1 components per
+# row.  On fresh 30-D points it broke even at 10-16 rows with o = 5, 16-24
+# with o = 4, 24-32 with o = 3 and not below 60 with o = 2; _SCREEN_WORK
+# takes the upper ends.  That keeps pattern search's 15-row polls exact:
+# their rows differ in one coordinate, libm's sin runs warm on them, and
+# screened they took 1.06-1.37 times as long.
 _SCREEN_WORK = 48
 
 # Why the bounds hold.  Write u = 2**-24, float32's unit roundoff, and allow
@@ -189,10 +192,9 @@ _SCREEN_WORK = 48
 # the exact value does too, up to the rounding of subnormal results, which
 # -+ 2**-1022 covers.  The exact path's form itself overflows to inf where
 # its upper bound reaches the largest float64, even when lam < 1 would bring
-# the value back into range, so there the upper bound is inf.  A component
-# without a transform is bounded by its exact float64 form, with B' = e = 0
-# and the same D.  Adding sigma needs no margin: rounding is monotone, so
-# the sums of the bounds bound the exact path's sum.
+# the value back into range, so there the upper bound is inf.  Adding sigma
+# needs no margin: rounding is monotone, so the sums of the bounds bound the
+# exact path's sum.
 _U = 2.0**-24
 _TAU = 2.0**-36
 _SUBNORMAL = np.array([-2.0**-1022, 2.0**-1022])[:, None, None]
@@ -238,9 +240,11 @@ class _Kernel:
         self.powered = [(k, c.lam) for k, c in enumerate(components) if c.lam != 1.0]
         self.optimum_index = int(np.argmin(self.sigma))  # lowest index on ties
         self.optimum_value = components[self.optimum_index].sigma
-        # the fewest rows a screened batch has (never, below 3 transforms)
-        t = len(transformed)
-        self.screen_rows = -(-_SCREEN_WORK // (t - 2)) if t >= 3 else np.inf
+        # the fewest rows a screened batch has: never, unless o >= 3
+        # components are all transformed and share one lambda
+        o = len(components)
+        served = o >= 3 and len(transformed) == o and len({c.lam for c in components}) == 1
+        self.screen_rows = -(-_SCREEN_WORK // (o - 2)) if served else np.inf
 
     @cached_property
     def _screen(self) -> _Screen:
@@ -283,22 +287,12 @@ class _Kernel:
         lo, hi = screen.bounds(Z)
         # NaN-safe: a NaN upper bound is skipped, a NaN lower bound is a candidate
         comps, rows = np.nonzero(~(lo > np.fmin.reduce(hi, axis=0)))
-        Zc = Z[rows, comps]  # (c, d)
-        base = screen.pair_base[comps]
-        if screen.untransformed is None:
-            Zc = modulate(Zc, self.signs, base[:, None])
-        elif self.transformed is not None:
-            t = base >= 0
-            Zc[t] = modulate(Zc[t], self.signs, base[t, None])
+        # every component is transformed, so row k of sign_base is component k's
+        Zc = modulate(Z[rows, comps], self.signs, self.sign_base[comps])  # (c, d)
         # one dot product per pair, as in ``exact``
         Q = np.matmul((Zc * self.h[comps])[:, None, :], Zc[:, :, None])[:, 0, 0]
-        if screen.common_lam is not None:
-            Q = np.array(_power(Q.tolist(), screen.common_lam))
-        elif screen.powers:
-            lams = screen.lam[comps]
-            for lam in screen.powers:
-                sel = lams == lam
-                Q[sel] = _power(Q[sel].tolist(), lam)
+        if screen.lam != 1.0:
+            Q = np.array(_power(Q.tolist(), screen.lam))
         Q += self.sigma[comps]
         out = np.empty(len(X))
         if len(rows) == len(X):  # one candidate per row
@@ -317,56 +311,36 @@ class _Kernel:
 
 
 class _Screen:
-    """The float32 screen of one kernel: bounds on every pair's value, and
-    what ``_Kernel.screen`` needs to run the exact path on the candidates.
-    Built on a kernel's first screened batch."""
+    """The float32 screen of one kernel whose components are all transformed
+    and share one lambda: bounds on every pair's value.  Built on a kernel's
+    first screened batch."""
 
     def __init__(self, kernel: _Kernel):
         components = kernel.components
-        o = len(components)
         d = kernel.dim
-        t = kernel.transformed
-        transformed = [k for k, c in enumerate(components) if not c.transform.is_identity]
-        untransformed = [k for k in range(o) if k not in transformed]
-        self.transformed = t
-        self.untransformed = _selector(untransformed)
-        self.h_untransformed = kernel.h[untransformed]
-        self.lam = np.array([c.lam for c in components])
-        self.powers = sorted({c.lam for c in components} - {1.0})
-        # the lambda != 1 of every component, when they share one
-        self.common_lam = (self.powers[0] if len(self.powers) == 1 and 1.0 not in self.lam
-                           else None)
-        # each component's columns of the sign table (2k for transform k),
-        # -1 for a component without a transform
-        self.pair_base = np.full(o, -1)
-        self.pair_base[transformed] = 2 * np.arange(len(transformed))
+        self.lam = components[0].lam
         # the sign table in float32, frequencies halved and amplitudes doubled
         factor = np.ones((len(kernel.signs), 1))
         factor[:-1], factor[-1] = 0.5, 2.0
         self.signs32 = (kernel.signs * factor).astype(np.float32)
-        # (t, 1, 1) column of 2k, broadcast against the (t, d, n) screen input
-        self.screen_base = 2 * np.arange(len(transformed))[:, None, None]
-        mu = np.zeros(o)
-        w = np.zeros(o)
-        mu[transformed] = [max(components[k].transform.mu) for k in transformed]
-        w[transformed] = [max(components[k].transform.omega) for k in transformed]
+        # (o, 1, 1) column of 2k, broadcast against the (o, d, n) screen input
+        self.screen_base = kernel.sign_base[:, :, None]
+        mu = np.array([max(c.transform.mu) for c in components])
+        w = np.array([max(c.transform.omega) for c in components])
         slope = _U * (40.0 + 96.0 * mu * w)  # A
-        self.slope32 = (slope / 2).astype(np.float32)[transformed, None, None]
+        self.slope32 = (slope / 2).astype(np.float32)[:, None, None]
         # h / 2**e in float32, rounded down for the lower and up for the upper
         # bound's quadratic form, with 2**e >= max h per component
-        exponent = np.frexp(kernel.h[transformed].max(axis=1))[1]
-        e = np.zeros(o)
-        e[transformed] = exponent
-        scaled = np.ldexp(kernel.h[transformed], -exponent[:, None])  # exact, even at 2**1024
+        e = np.frexp(kernel.h.max(axis=1))[1]
+        scaled = np.ldexp(kernel.h, -e[:, None])  # exact, even at 2**1024
         h32 = scaled.astype(np.float32)
         down = np.where(h32 > scaled, np.nextafter(h32, np.float32(0)), h32)
         up = np.where(h32 < scaled, np.nextafter(h32, np.float32(np.inf)), h32)
-        self.h32 = np.stack([down, up])[:, :, None, :]  # (2, t, 1, d)
+        self.h32 = np.stack([down, up])[:, :, None, :]  # (2, o, 1, d)
         # per component, (2, o, 1) columns against the (2, o, n) bounds
-        widen = np.zeros(o)  # B'
-        widen[transformed] = _U * (20.0 + 96.0 * mu + 8.0 * mu * w + d + 1)[transformed]
-        slack = d * np.exp2(-1074.0 - e) * (1.0 + np.exp(44.5 + 2.1 * mu))  # D
-        slack[transformed] += d * 2.0**-125 * np.exp(4.1 * mu + 52.0 * slope)[transformed]
+        widen = _U * (20.0 + 96.0 * mu + 8.0 * mu * w + d + 1)  # B'
+        slack = (d * np.exp2(-1074.0 - e) * (1.0 + np.exp(44.5 + 2.1 * mu))
+                 + d * 2.0**-125 * np.exp(4.1 * mu + 52.0 * slope))  # D
         # the log-domain terms, before and after the power
         shift = e * np.log(2.0)
         spread = widen + (d + 2) * 2.0**-52 + (np.abs(shift) + 800.0) * 2.0**-48
@@ -376,55 +350,44 @@ class _Screen:
         # quadratic form the exact path overflows to inf, even where lam < 1
         self.overflow = (np.log(np.finfo(float).max) - shift - spread)[:, None]
         self.margin = np.stack([self.lam * shift - margin, self.lam * shift + margin])[:, :, None]
-        self.lam_column = self.lam[:, None]
         self.sigma_column = kernel.sigma[:, None]
 
     def bounds(self, Z: np.ndarray) -> np.ndarray:
         """Lower and upper bounds on the value of every pair of ``Z``, the
         kernel's (n, o, d) transform input, as an array of shape (2, o, n)."""
-        n, o, _ = Z.shape
-        t = self.transformed
-        u = self.untransformed
-        q = np.empty((2, o, n))  # the lower and the upper quadratic form
         with np.errstate(all="ignore"):
-            if t is not None:
-                # float32, laid out (t, d, n): the tables broadcast over d and n
-                z = Z[:, t].transpose(1, 2, 0).astype(np.float32)
-                # column 2k + 1 for z < 0, as in ``modulate`` (z = 0 gives NaN)
-                idx = self.screen_base + (z.view(np.uint32) >> 31)
-                z *= z
-                log_z2 = np.log(z, out=z)
-                table = self.signs32
-                s = table[0].take(idx)
-                s *= log_z2
-                np.sin(s, out=s)
-                if len(table) == 2:
-                    s += s
-                else:
-                    s2 = table[1].take(idx)
-                    s2 *= log_z2
-                    s += np.sin(s2, out=s2)
-                y = table[-1].take(idx)
-                y *= s
-                y += log_z2  # log T(z)**2
-                a = np.abs(log_z2, out=log_z2)
-                a *= self.slope32  # the widening a
-                widened = np.empty((2,) + z.shape, dtype=np.float32)
-                np.subtract(y, a, out=widened[0])
-                np.add(y, a, out=widened[1])
-                np.exp(widened, out=widened)
-                q[:, t] = np.matmul(self.h32, widened)[:, :, 0]
-            if u is not None:
-                # the exact path's own quadratic form, bit for bit
-                Zu = Z[:, u]
-                q[:, u] = np.matmul((Zu * self.h_untransformed)[:, :, None, :],
-                                    Zu[:, :, :, None])[:, :, 0, 0].T
+            # float32, laid out (o, d, n): the tables broadcast over d and n
+            z = Z.transpose(1, 2, 0).astype(np.float32)
+            # column 2k + 1 for z < 0, as in ``modulate`` (z = 0 gives NaN)
+            idx = self.screen_base + (z.view(np.uint32) >> 31)
+            z *= z
+            log_z2 = np.log(z, out=z)
+            table = self.signs32
+            s = table[0].take(idx)
+            s *= log_z2
+            np.sin(s, out=s)
+            if len(table) == 2:
+                s += s
+            else:
+                s2 = table[1].take(idx)
+                s2 *= log_z2
+                s += np.sin(s2, out=s2)
+            y = table[-1].take(idx)
+            y *= s
+            y += log_z2  # log T(z)**2
+            a = np.abs(log_z2, out=log_z2)
+            a *= self.slope32  # the widening a
+            widened = np.empty((2,) + z.shape, dtype=np.float32)
+            np.subtract(y, a, out=widened[0])
+            np.add(y, a, out=widened[1])
+            np.exp(widened, out=widened)
+            # the lower and the upper quadratic form, carried on in float64
+            q = np.matmul(self.h32, widened)[:, :, 0].astype(float)
             q += self.slack
             q[0][np.isinf(q[0])] = np.nan  # an overflowed lower form bounds nothing
             np.log(q, out=q)
             q[1][q[1] >= self.overflow] = np.inf
-            if self.powers:
-                q *= self.lam_column
+            q *= self.lam
             q += self.margin
             np.exp(q, out=q)
             q += _SUBNORMAL

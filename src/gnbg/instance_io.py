@@ -284,7 +284,8 @@ def export_grid(
     """Row-major grid of objective values over the (x_i, x_j) plane.
 
     Rows sweep x_i from lower to upper, columns sweep x_j; the remaining
-    coordinates are pinned to ``fixed``.
+    coordinates are pinned to ``fixed``.  A value that overflows is
+    ``None`` (``null``), as in ``report_to_dict``.
     """
     d = instance.dim
     if not (0 <= i < d and 0 <= j < d) or i == j:
@@ -299,13 +300,14 @@ def export_grid(
     points = np.tile(fixed, (resolution * resolution, 1))
     points[:, i] = np.repeat(xi, resolution)
     points[:, j] = np.tile(xj, resolution)
-    values = evaluate_batch(instance, points).reshape(resolution, resolution).tolist()
+    with np.errstate(over="ignore"):  # an overflowing value is inf, written null
+        values = evaluate_batch(instance, points).reshape(resolution, resolution).tolist()
     return {
         "format_version": GRID_FORMAT_VERSION,
         "axis": [int(i), int(j)],
         "fixed": fixed.tolist(),
         "resolution": int(resolution),
-        "values": values,
+        "values": [[_json_float(v) for v in row] for row in values],
     }
 
 

@@ -102,3 +102,25 @@ def test_regression_is_relative_to_the_parent_median_and_the_declared_bound():
     assert _verdicts("d:peak_rss_mb", PARENT, [v + 1.5 for v in PARENT]) == (False, True)
     # a negative parent median: the bound is taken on its magnitude
     assert _verdicts("d:wall_s", [-v for v in PARENT], [-v + 3.75 for v in PARENT]) == (False, True)
+
+
+def _unresolved(key, parent_values, change_values):
+    record = bench_pairs.assemble(*_pairs(key, parent_values, change_values), DECLARED, {})
+    return record["unresolved"][key]
+
+
+def test_unresolved_when_the_parent_iqr_is_wider_than_the_bound():
+    # wall_s: IQR 4.5 against 0.25 of the 14.5 median, 3.625
+    assert _unresolved("d:wall_s", PARENT, PARENT)
+    assert _unresolved("d:wall_s", PARENT, [v - 5.0 for v in PARENT])
+    # unless every change run beats every parent run (here all below 10.0)
+    assert not _unresolved("d:wall_s", PARENT, [v - 10.0 for v in PARENT])
+    # fe_per_s is higher-better: all above 19.0 separates, all below does not
+    assert not _unresolved("d:fe_per_s", PARENT, [v + 10.0 for v in PARENT])
+    assert _unresolved("d:fe_per_s", PARENT, [v - 10.0 for v in PARENT])
+    # a parent IQR within the bound resolves (IQR 0.45 of the 14.5 median)
+    tight = [14.0 + v / 10.0 for v in range(10)]
+    assert not _unresolved("d:wall_s", tight, tight)
+    # peak_rss_mb's bound is 0.1: 1.45 of the 14.5 median
+    assert _unresolved("d:peak_rss_mb", PARENT, PARENT)
+    assert not _unresolved("d:peak_rss_mb", [v / 4.0 + 11.0 for v in PARENT], PARENT)

@@ -34,6 +34,15 @@ def _schema(name):
     return json.loads(text)
 
 
+def _strict_json(text):
+    """``json.loads`` that rejects the non-standard ``Infinity`` and ``NaN``."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def _sphere_2d():
     comp = Component(np.zeros(2), 0.0, np.ones(2))
     return ProblemInstance(2, np.full(2, -100.0), np.full(2, 100.0), (comp,))
@@ -618,15 +627,37 @@ class TestCli:
         out = tmp_path / "out.json"
         assert main(["run", "--instance", self._overflowing_sphere(tmp_path), "--optimizer",
                      "ps", "--runs", "2", "--budget", "50", "--json", str(out)]) == 0
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        (report,) = json.loads(out.read_text(), parse_constant=reject)
+        (report,) = _strict_json(out.read_text())
         assert set(report["mean_errors"].values()) == set(report["std_errors"].values()) == {None}
         for run in report["run_results"]:
             assert (run["best_value"], run["best_error"]) == (None, None)
             assert set(run["milestone_errors"].values()) == {None}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_of_overflowing_values_is_strict_json(self, tmp_path, capfd):
+        """Grid values that overflow are null, with no warning printed."""
+        out = tmp_path / "grid.json"
+        assert main(["grid", "--instance", self._overflowing_sphere(tmp_path), "--i", "0",
+                     "--j", "1", "--resolution", "3", "--out", str(out)]) == 0
+        assert "Warning" not in capfd.readouterr().err
+        doc = _strict_json(out.read_text())
+        jsonschema.validate(doc, _schema("grid.schema.json"))
+        assert doc["values"] == [[None] * 3, [None, 0.0, None], [None] * 3]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_classify_of_overflowing_condition_number_is_strict_json(self, tmp_path, capfd):
+        """max h / min h beyond float's range is null, with no warning."""
+        comp = Component(np.zeros(2), 0.0, np.array([1e300, 1e-300]))
+        box = np.full(2, 100.0)
+        path = tmp_path / "ill.gnbg.json"
+        path.write_text(dump_instance(ProblemInstance(2, -box, box, (comp,))))
+        assert main(["classify", "--instance", str(path)]) == 0
+        out, err = capfd.readouterr()
+        assert "Warning" not in err
+        record = _strict_json(out)
+        assert record["condition_number"] is None
+        assert record["components"][0]["condition_number"] is None
+        assert comp.condition_number == np.inf
 
     def _overflowing_power(self, tmp_path):
         """A valid document whose lam = 1.5 power overflows away from its

@@ -339,18 +339,20 @@ class TestBudgetedBatch:
 
 @st.composite
 def screened_cases(draw):
-    """An instance of 2-6 components and rows that stress the screen's
-    bounds: exact ties (a component repeated), a centre shared by every
-    component (as in f23), components at the origin with rows whose z is in
-    float32's subnormal range, rows at a centre (z = 0), untransformed
-    components among transformed ones, h up to 1.6e308 with lambda up to
-    2, h down to 1e-315 (subnormal products), and, when ``tie`` is drawn, sigmas that bring every component's value at
-    the first row within 1e-4 relative of the others'."""
+    """An instance of 2-6 components, all transformed and sharing one
+    lambda, as the screen serves, and rows that stress its bounds: exact
+    ties (a component repeated), a centre shared by every component (as in
+    f23), components at the origin with rows whose z is in float32's
+    subnormal range, rows at a centre (z = 0), h up to 1.6e308 with lambda
+    up to 2, h down to 1e-315 (subnormal products), and, when drawn, sigmas
+    that bring every component's value at the first row within 1e-4
+    relative of the others'."""
     d = draw(st.integers(1, 6))
     o = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shared = draw(st.sampled_from([None, "random", "origin"]))
     shared_center = np.zeros(d) if shared == "origin" else rng.uniform(-80, 80, d)
+    lam = draw(st.sampled_from([1.0, 1.0, 0.05, 0.25, 0.5, 0.9, 1.5, 2.0]))
     components = []
     for _ in range(o):
         if components and draw(st.integers(0, 4)) == 0:
@@ -360,19 +362,16 @@ def screened_cases(draw):
             center = shared_center
         else:
             center = np.zeros(d) if draw(st.integers(0, 3)) == 0 else rng.uniform(-80, 80, d)
-        if draw(st.integers(0, 3)) == 0:
-            transform = TransformParams()
-        else:
-            omega = rng.uniform(0.0, 100.0, 4)
-            if draw(st.booleans()):
-                omega[1], omega[3] = omega[0], omega[2]
-            transform = TransformParams(tuple(rng.uniform(0.0, 1.0, 2)), tuple(omega))
+        omega = rng.uniform(0.0, 100.0, 4)
+        if draw(st.booleans()):
+            omega[1], omega[3] = omega[0], omega[2]
+        transform = TransformParams(tuple(rng.uniform(0.0, 1.0, 2)), tuple(omega))
         h_range = draw(st.sampled_from([(-3, 3), (-3, 3), (150, 308.2), (-315, -250)]))
         components.append(Component(
             center=center,
             sigma=draw(st.floats(-1e3, 1e3)),
             h_diag=10.0 ** rng.uniform(*h_range, d),
-            lam=draw(st.sampled_from([1.0, 1.0, 0.05, 0.25, 0.5, 0.9, 1.5, 2.0])),
+            lam=lam,
             transform=transform,
             rotation=np.linalg.qr(rng.standard_normal((d, d)))[0] if draw(st.booleans()) else None,
         ))
@@ -420,11 +419,13 @@ class TestScreen:
     def test_form_that_overflows_before_its_power(self):
         """The exact path's quadratic form overflows to inf even where
         lam < 1 would bring the value back into range; such a component's
-        upper bound is inf, so it cannot screen out the finite minimum."""
+        upper bound is inf, so it cannot screen out the finite minimum, a
+        component whose sigma alone is larger than that bound would be."""
         transform = TransformParams((0.3, 0.4), (10, 20, 30, 40))
-        components = (Component(np.zeros(2), 0.0, np.full(2, 1e305), lam=0.05,
+        components = (Component(np.zeros(2), 0.0, np.full(2, 1e306), lam=0.05,
                                 transform=transform),
-                      Component(np.full(2, 50.0), 0.0, np.full(2, 1e303)))
+                      Component(np.full(2, 50.0), 1e16, np.full(2, 1e300), lam=0.05,
+                                transform=transform))
         inst = ProblemInstance(2, np.full(2, -100.0), np.full(2, 100.0), components)
         X = np.array([[-50.0, -50.0], [-60.0, -40.0]])
         with np.errstate(over="ignore"):
@@ -449,6 +450,41 @@ class TestScreen:
         assert 0 < sum(counted) <= 1.1 * 100 * inst.dim
         monkeypatch.undo()
         assert np.array_equal(values, [evaluate(inst, x) for x in X])
+
+
+class TestScreenDispatch:
+    """Which instances the screen serves: o >= 3 components, all transformed,
+    one lambda.  Every other instance takes the exact path at any size."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_suite_screened_set(self, seed):
+        rows = {k: suite_instance(k, seed)._kernel.screen_rows for k in range(1, 25)}
+        assert {k for k, n in rows.items() if n != np.inf} == {18, 19, 20, 21, 23, 24}
+        assert {rows[k] for k in (18, 19, 20, 21, 23, 24)} == {16}
+
+    def _mixed(self, untransformed, lams):
+        rng = np.random.default_rng(7)
+        d = 4
+        components = []
+        for k, lam in enumerate(lams):
+            transform = (TransformParams() if k == untransformed else
+                         TransformParams(tuple(rng.uniform(0.1, 0.5, 2)),
+                                         tuple(rng.uniform(5.0, 50.0, 4))))
+            components.append(Component(rng.uniform(-80, 80, d), float(k),
+                                        10.0 ** rng.uniform(-1, 1, d), lam=lam,
+                                        transform=transform, theta=random_theta(d, 0.5, rng)))
+        box = np.full(d, 100.0)
+        return ProblemInstance(d, -box, box, tuple(components))
+
+    @pytest.mark.parametrize("untransformed, lams", [
+        (3, [1.0, 1.0, 1.0, 1.0]),  # an untransformed component among 3 transformed
+        (None, [0.5, 0.5, 1.5, 0.5]),  # 4 transformed components with two lambdas
+    ])
+    def test_mixed_instance_is_exact(self, untransformed, lams):
+        inst = self._mixed(untransformed, lams)
+        assert inst._kernel.screen_rows == np.inf
+        X = np.random.default_rng(1).uniform(-100, 100, size=(100, inst.dim))
+        assert evaluate_batch(inst, X).tolist() == [oracle_evaluate(inst, x) for x in X]
 
 
 class TestPowerOverflow:

@@ -17,13 +17,16 @@ machine does not fall on one side only.
 The JSON written holds every run's metrics and ``failed`` count, each
 metric's median per side with the parent's interquartile range, the number
 of pairs the change won (by each metric's better direction in
-BENCHMARK.json), two verdicts per metric, and the Python and numpy versions
-and CPU count.  The verdicts:
+BENCHMARK.json), three verdicts per metric, and the Python and numpy
+versions and CPU count.  The verdicts:
 
 - ``gain_resolved``: the change won at least 9 of 10 pairs, and its median
   beats the parent's by more than the parent's interquartile range;
 - ``regressed``: the change's median is worse than the parent's by more than
-  the metric's ``bound`` in BENCHMARK.json, relative to the parent's median.
+  the metric's ``bound`` in BENCHMARK.json, relative to the parent's median;
+- ``unresolved``: the parent's interquartile range is wider than that bound
+  times the parent's median, so the runs spread too widely to tell a change
+  of the bound's size, unless every change run beats every parent run.
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ def assemble(parent: list[dict], change: list[dict], declared: dict, info: dict)
     """
     median = {"parent": medians(parent), "change": medians(change)}
     parent_iqr = iqrs(parent)
-    wins, gain, regressed = {}, {}, {}
+    wins, gain, regressed, unresolved = {}, {}, {}, {}
     for key in parent[0]["metrics"]:
         metric = declared[key.rsplit(":", 1)[-1]]
         sign = 1 if metric["better"] == "higher" else -1
@@ -93,6 +96,9 @@ def assemble(parent: list[dict], change: list[dict], declared: dict, info: dict)
         gain[key] = (wins[key] >= GAIN_SHARE * len(parent)
                      and sign * (now - was) > parent_iqr[key])
         regressed[key] = sign * (was - now) > metric["bound"] * abs(was)
+        separated = (min(sign * c["metrics"][key] for c in change)
+                     > max(sign * p["metrics"][key] for p in parent))
+        unresolved[key] = parent_iqr[key] > metric["bound"] * abs(was) and not separated
     return {
         **info,
         "pairs": [{"parent": p, "change": c} for p, c in zip(parent, change)],
@@ -103,6 +109,7 @@ def assemble(parent: list[dict], change: list[dict], declared: dict, info: dict)
         "change_wins": wins,
         "gain_resolved": gain,
         "regressed": regressed,
+        "unresolved": unresolved,
     }
 
 
@@ -150,7 +157,8 @@ def main(argv=None) -> int:
         print(f"{key:36s} {record['median']['parent'][key]:.6g} -> "
               f"{record['median']['change'][key]:.6g}  won {record['change_wins'][key]}/{PAIRS}"
               f"  gain_resolved={record['gain_resolved'][key]}"
-              f"  regressed={record['regressed'][key]}")
+              f"  regressed={record['regressed'][key]}"
+              f"  unresolved={record['unresolved'][key]}")
     return 0
 
 
