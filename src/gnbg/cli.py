@@ -65,6 +65,12 @@ def _default_seed() -> int:
         raise _UsageError(f"GNBG_SEED must be an integer, got {raw!r}") from None
 
 
+def _json_text(doc) -> str:
+    """Strict, indented JSON and a newline: a non-finite float that reached
+    here would fail loudly."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -182,28 +188,22 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _seed_or_env(args) -> int:
-    return _default_seed() if args.seed is None else args.seed
-
-
 def _cmd_generate(args) -> int:
-    args.seed = _seed_or_env(args)
     instance = _scenario_instance(args.scenario, args.value, args)
     _write_out(dump_instance(instance), args.out)
     return EXIT_OK
 
 
 def _cmd_suite(args) -> int:
-    seed = _seed_or_env(args)
     if args.all:
         if args.out is None:
             raise _UsageError("--all requires --out DIRECTORY")
         os.makedirs(args.out, exist_ok=True)
         for k in range(1, generators.SUITE_SIZE + 1):
             path = os.path.join(args.out, f"f{k}.gnbg.json")
-            _write_out(dump_instance(suite_instance(k, seed)), path)
+            _write_out(dump_instance(suite_instance(k, args.seed)), path)
         return EXIT_OK
-    _write_out(dump_instance(suite_instance(args.id, seed)), args.out)
+    _write_out(dump_instance(suite_instance(args.id, args.seed)), args.out)
     return EXIT_OK
 
 
@@ -222,7 +222,7 @@ def _milestones(args) -> tuple[int, ...]:
     return tuple(_number_list("--milestones", args.milestones, int))
 
 
-def _spec(args, instance, base_seed: int) -> ExperimentSpec:
+def _spec(args, instance) -> ExperimentSpec:
     """The experiment the protocol flags describe."""
     return ExperimentSpec(
         instance=instance,
@@ -231,7 +231,7 @@ def _spec(args, instance, base_seed: int) -> ExperimentSpec:
         budget=args.budget,
         milestones=_milestones(args),
         threshold=args.threshold,
-        base_seed=base_seed,
+        base_seed=args.seed,
     )
 
 
@@ -242,10 +242,7 @@ def _emit_reports(args, reports) -> None:
     else:
         sys.stdout.write(text)
     if args.json is not None:
-        # strict JSON: a non-finite float that reached here would fail loudly
-        payload = json.dumps([report_to_dict(r) for r in reports], indent=2,
-                             allow_nan=False) + "\n"
-        _write_out(payload, args.json)
+        _write_out(_json_text([report_to_dict(r) for r in reports]), args.json)
 
 
 def _cmd_run(args) -> int:
@@ -255,17 +252,15 @@ def _cmd_run(args) -> int:
         instance = load_instance(_read(args.instance))
     else:
         instance = suite_instance(args.suite, args.instance_seed)
-    spec = _spec(args, instance, _seed_or_env(args))
-    _emit_reports(args, [run_experiment(spec, workers=args.workers)])
+    _emit_reports(args, [run_experiment(_spec(args, instance), workers=args.workers)])
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    args.seed = _seed_or_env(args)
     values = _number_list("--values", args.values, float)
     # the template's instance is the first value's: build each value once
     make = cache(partial(_scenario_instance, args.scenario, args=args))
-    template = _spec(args, make(values[0]), args.seed)
+    template = _spec(args, make(values[0]))
     _emit_reports(args, sweep(template, values, make, workers=args.workers))
     return EXIT_OK
 
@@ -279,7 +274,7 @@ def _cmd_grid(args) -> int:
     else:
         fixed = instance.optimum_position
     doc = export_grid(instance, args.i, args.j, args.resolution, fixed)
-    _write_out(json.dumps(doc, indent=2, allow_nan=False) + "\n", args.out)
+    _write_out(_json_text(doc), args.out)
     return EXIT_OK
 
 
@@ -287,7 +282,7 @@ def _cmd_classify(args) -> int:
     record = classify(load_instance(_read(args.instance)))
     for entry in (record, *record["components"]):  # an overflowed ratio is null
         entry["condition_number"] = _json_float(entry["condition_number"])
-    sys.stdout.write(json.dumps(record, indent=2, allow_nan=False) + "\n")
+    sys.stdout.write(_json_text(record))
     return EXIT_OK
 
 
@@ -335,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) is None:  # a command with --seed, not given
+            args.seed = _default_seed()
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         sys.stderr.write(f"gnbg: {exc}\n")

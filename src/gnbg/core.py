@@ -55,9 +55,9 @@ class Component:
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float)
         h_diag = np.asarray(self.h_diag, dtype=float)
-        d = center.shape[0]
-        if center.ndim != 1 or d < 1:
+        if center.ndim != 1 or center.size < 1:  # checked before shape[0] is read
             raise ValueError("center must be a nonempty 1-D vector")
+        d = center.shape[0]
         if not np.all(np.isfinite(center)):
             raise ValueError("center elements must be finite")
         if not np.isfinite(self.sigma):
@@ -238,8 +238,6 @@ class _Kernel:
         # Python floats: float ** float is the C library's pow, which numpy's
         # vectorized power does not match to the last bit on every host
         self.powered = [(k, c.lam) for k, c in enumerate(components) if c.lam != 1.0]
-        self.optimum_index = int(np.argmin(self.sigma))  # lowest index on ties
-        self.optimum_value = components[self.optimum_index].sigma
         # the fewest rows a screened batch has: never, unless o >= 3
         # components are all transformed and share one lambda
         o = len(components)
@@ -261,8 +259,11 @@ class _Kernel:
             raise ValueError("transform input must be finite")
         return Z
 
+    @np.errstate(over="ignore")
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        """Values of the rows of the float array ``X`` of shape (n, d)."""
+        """Values of the rows of the float array ``X`` of shape (n, d).  A
+        value that overflows is inf, with no warning: every evaluation entry
+        runs through here."""
         if len(X) >= self.screen_rows:
             return self.screen(X)
         return self.exact(X)
@@ -301,13 +302,6 @@ class _Kernel:
             out.fill(np.inf)
             np.minimum.at(out, rows, Q)
         return out
-
-    def one(self, x: np.ndarray) -> float:
-        """Value at the point ``x`` of shape (d,): the one-row case."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"x must have shape ({self.dim},), got {x.shape}")
-        return float(self(x[None])[0])
 
 
 class _Screen:
@@ -400,7 +394,8 @@ class ProblemInstance:
     """A box-bounded minimization problem built from one or more components.
 
     The global optimum is known by construction: the center of the component
-    with the smallest floor value (ties broken by lowest index).
+    with the smallest floor value (ties broken by lowest index), whose index
+    and value are set when the instance is built.
     """
 
     dim: int
@@ -418,6 +413,9 @@ class ProblemInstance:
             raise ValueError("bounds must be finite")
         if np.any(lower >= upper):
             raise ValueError("require lower < upper in every dimension")
+        # halving is exact: the width overflows just where its half exceeds max / 2
+        if np.any(upper / 2 - lower / 2 > np.finfo(float).max / 2):
+            raise ValueError("bounds width upper - lower must be finite")
         components = tuple(self.components)
         if not components:
             raise ValueError("at least one component required")
@@ -429,6 +427,9 @@ class ProblemInstance:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "components", components)
+        optimum = int(np.argmin([c.sigma for c in components]))  # lowest index on ties
+        object.__setattr__(self, "optimum_index", optimum)
+        object.__setattr__(self, "optimum_value", components[optimum].sigma)
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -438,14 +439,6 @@ class ProblemInstance:
     @cached_property
     def _kernel(self) -> _Kernel:
         return _Kernel(self.components)
-
-    @property
-    def optimum_index(self) -> int:
-        return self._kernel.optimum_index
-
-    @property
-    def optimum_value(self) -> float:
-        return self._kernel.optimum_value
 
     @property
     def optimum_position(self) -> np.ndarray:
@@ -459,7 +452,10 @@ class ProblemInstance:
 def evaluate(instance: ProblemInstance, x: np.ndarray) -> float:
     """Objective value: minimum over all components.  The one-row case of
     ``evaluate_batch``, with the same bits."""
-    return instance._kernel.one(x)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (instance.dim,):
+        raise ValueError(f"x must have shape ({instance.dim},), got {x.shape}")
+    return float(instance._kernel(x[None])[0])
 
 
 # (rows x components x d) elements per kernel call: bounds the size of its

@@ -345,7 +345,7 @@ def suite_instance(index: int, seed: int = 0) -> ProblemInstance:
     shared = partial(_stream, seed, "suite", index)
     slots = [_Slot(shared, k, entry.o) for k in range(entry.o)]
     thetas = [_value(entry.theta, slot) for slot in slots]
-    compose([theta for theta in thetas if theta is not None and not theta.is_identity()])
+    compose(thetas)
     components = [
         Component(
             center=_filled(_value(entry.center, slot)),

@@ -187,7 +187,7 @@ def parse_instance(doc: dict) -> ProblemInstance:
         parsed.append((where, theta, (center, sigma, h_diag, lam, transform, theta, rotation)))
 
     # every component's rotation in one wavefront; each Component checks its own
-    compose([theta for _, theta, _ in parsed if theta is not None and not theta.is_identity()])
+    compose([theta for _, theta, _ in parsed])
     components = []
     for where, _, args in parsed:
         try:
@@ -300,8 +300,7 @@ def export_grid(
     points = np.tile(fixed, (resolution * resolution, 1))
     points[:, i] = np.repeat(xi, resolution)
     points[:, j] = np.tile(xj, resolution)
-    with np.errstate(over="ignore"):  # an overflowing value is inf, written null
-        values = evaluate_batch(instance, points).reshape(resolution, resolution).tolist()
+    values = evaluate_batch(instance, points).reshape(resolution, resolution).tolist()
     return {
         "format_version": GRID_FORMAT_VERSION,
         "axis": [int(i), int(j)],

@@ -260,8 +260,8 @@ def run_optimizer(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> RunResult:
     """Run the baseline ``cfg.kind`` on ``evaluator`` until its best error
-    reaches ``threshold`` or the budget is used up.  A value that overflows
-    to inf is a value like any other, so the run raises no overflow warning."""
+    reaches ``threshold`` or the budget is used up.  The searches' own steps
+    (PS's x +- mesh, DE's mutants) may overflow before they are clamped, quietly."""
     check_threshold(threshold)
     if cfg.kind == "pso" and cfg.population > evaluator.max_fe:
         raise ValueError(

@@ -76,7 +76,8 @@ class ThetaSpec:
 
 def compose(specs) -> None:
     """Compose the rotation of every ThetaSpec in ``specs`` in one shared
-    wavefront and store it, read-only, as that spec's ``matrix``.
+    wavefront and store it, read-only, as that spec's ``matrix``.  A None
+    entry, a component with no rotation, is skipped.
 
     For each spec, iterates pairs p = 1..d-1 (outer), q = p+1..d (inner),
     right-multiplying a Givens factor for every nonzero angle.  Zero angles
@@ -94,7 +95,7 @@ def compose(specs) -> None:
     (cos, cos, sin, -sin), and adds the partners in: every element takes
     exactly the operations of the two-column update of each factor.
     """
-    specs = list(specs)
+    specs = [spec for spec in specs if spec is not None]
     if not specs:
         return
     d = specs[0].dim

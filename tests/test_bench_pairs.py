@@ -124,3 +124,14 @@ def test_unresolved_when_the_parent_iqr_is_wider_than_the_bound():
     # peak_rss_mb's bound is 0.1: 1.45 of the 14.5 median
     assert _unresolved("d:peak_rss_mb", PARENT, PARENT)
     assert not _unresolved("d:peak_rss_mb", [v / 4.0 + 11.0 for v in PARENT], PARENT)
+
+
+def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
+    package = tmp_path / "src" / "gnbg"
+    (package / "schemas").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\ny = 2\n")
+    (package / "b.py").write_text("z = 3\nw = 4")  # wc counts newlines: 1
+    (package / "schemas" / "c.py").write_text("skipped\n")  # not in src/gnbg/*.py
+    (package / "notes.txt").write_text("skipped\n")
+    assert bench_pairs.src_lines(tmp_path) == 4
+

@@ -133,6 +133,15 @@ class TestProblemInstance:
         b = _component(center=np.array([5.0, 5.0]), sigma=-2.0)
         assert _instance([a, b]).optimum_index == 0
 
+    def test_optimum_is_read_without_building_the_kernel(self):
+        a = _component(center=np.array([1.0, 1.0]), sigma=4.0)
+        b = _component(center=np.array([5.0, 5.0]), sigma=-2.0)
+        inst = _instance([a, b])
+        assert (inst.optimum_value, inst.optimum_index) == (-2.0, 1)
+        assert classify(inst)["optimum_value"] == -2.0
+        assert BudgetedEvaluator(inst, 5).best_error == np.inf
+        assert "_kernel" not in inst.__dict__
+
     def test_evaluate_is_min_over_components(self):
         a = _component(sigma=0.0)
         b = _component(center=np.array([50.0, 50.0]), sigma=5.0)
@@ -236,6 +245,13 @@ class TestClassify:
         theta = ThetaSpec.from_triples(3, [(1, 2, 0.5), (2, 3, 0.7)])
         record = classify(_instance([_component(d=3, center=np.zeros(3), h_diag=np.ones(3), theta=theta)], d=3))
         assert record["separability"] == "non-separable"
+
+    def test_dense_rotation_non_separable(self):
+        """A dense rotation has no interaction graph to split."""
+        c, s = np.cos(0.3), np.sin(0.3)
+        comp = _component(rotation=np.array([[c, -s], [s, c]]))
+        assert (comp.lam, comp.theta) == (1.0, None)
+        assert classify(_instance([comp]))["separability"] == "non-separable"
 
 
 class TestBudgetedEvaluator:

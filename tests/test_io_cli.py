@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_kernel import random_instances
+from test_kernel import _two_far_basins, random_instances
 
 from gnbg.cli import _build_parser, main
 from gnbg.core import Component, ProblemInstance, evaluate, evaluate_batch
@@ -659,6 +659,36 @@ class TestCli:
         assert record["components"][0]["condition_number"] is None
         assert comp.condition_number == np.inf
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_evaluate_and_verify_of_overflowing_values_are_quiet(self, tmp_path, capfd):
+        """Values that overflow away from either centre print as inf, and
+        verify's domination check evaluates them, with no warning."""
+        path, point = tmp_path / "far.gnbg.json", tmp_path / "point.json"
+        path.write_text(dump_instance(_two_far_basins()))
+        point.write_text("[1e200, -1e200]")
+        assert main(["evaluate", "--instance", str(path), "--point", str(point)]) == 0
+        assert capfd.readouterr() == ("inf\n", "")
+        assert main(["verify", "--instance", str(path)]) == 0
+        assert capfd.readouterr() == ("ok\n", "")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        ["run", "--optimizer", "ps", "--runs", "1", "--budget", "10"],
+        ["verify"],
+        ["grid", "--i", "0", "--j", "1", "--resolution", "3"],
+    ], ids=["run", "verify", "grid"])
+    def test_box_whose_width_overflows_is_data_error(self, tmp_path, capsys, argv):
+        """A box of +-1.7e308 is finite but its width is not: rejected on
+        load, before a run draws in it or verify probes it."""
+        doc = serialize_instance(_sphere_2d())
+        doc["bounds"] = {"lower": [-1.7e308] * 2, "upper": [1.7e308] * 2}
+        path = tmp_path / "wide.gnbg.json"
+        path.write_text(json.dumps(doc))  # compact, so verify would probe it
+        assert main([*argv, "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gnbg: document: bounds width upper - lower must be finite" in captured.err
+
     def _overflowing_power(self, tmp_path):
         """A valid document whose lam = 1.5 power overflows away from its
         centre: the quadratic form is finite, its power is not."""
@@ -854,6 +884,25 @@ class TestCli:
         monkeypatch.setattr(gnbg.cli, "dump_instance", one_ulp_off)
         assert main(["verify", "--instance", str(path)]) == 2
         assert "round-trip evaluation mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault, line", [
+        ("evaluate", "verify: optimum mismatch: f(m*) - sigma* = 1.000e+00"),
+        ("dominated_components", "verify: optimum component is dominated"),
+    ])
+    def test_verify_reports_a_faulty_kernel(self, tmp_path, capsys, monkeypatch, fault, line):
+        """On a valid instance f(m*) = sigma* and the optimum is undominated by
+        construction, so only a faulty kernel, simulated here, fails them."""
+        import gnbg.cli
+
+        faults = {"evaluate": lambda inst, x: inst.optimum_value + 1.0,
+                  "dominated_components": lambda inst: [inst.optimum_index]}
+        monkeypatch.setattr(gnbg.cli, fault, faults[fault])
+        path = tmp_path / "inst.gnbg.json"
+        path.write_text(dump_instance(suite_instance(2, seed=0)))
+        assert main(["verify", "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -7,6 +7,7 @@ kernel must reproduce it bit for bit, one point at a time and in batches.
 
 import dataclasses
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from gnbg.generators import (
     gen_multimodal,
     suite_instance,
 )
+from gnbg.instance_io import export_grid
 from gnbg.rotation import random_theta
 from gnbg.transform import TransformParams, apply_transform, modulate, sign_table
 
@@ -503,3 +505,34 @@ class TestPowerOverflow:
                     oracle_evaluate(inst, X[3])]
         assert evaluate_batch(inst, X).tolist() == expected
         assert [evaluate(inst, x) for x in X] == expected
+
+
+def _two_far_basins():
+    """Components at 0 and (1e200, 1e200) in a +-1e200 box: valid, and the
+    quadratic form overflows away from either centre."""
+    box = np.full(2, 1e200)
+    near = Component(np.zeros(2), 0.0, np.ones(2))
+    far = Component(np.full(2, 1e200), 1.0, np.ones(2))
+    return ProblemInstance(2, -box, box, (near, far))
+
+
+class TestOverflowIsQuiet:
+    """An FE that overflows is inf, with no warning, through every entry:
+    the kernel itself ignores overflow."""
+
+    @pytest.mark.parametrize("entry, expected", [
+        (lambda inst: evaluate(inst, np.array([1e200, -1e200])), np.inf),
+        (lambda inst: evaluate_batch(inst, np.array([[1e200, -1e200], [0.0, 0.0]])).tolist(),
+         [np.inf, 0.0]),
+        (core.dominated_components, []),
+        (lambda inst: export_grid(inst, 0, 1, 3, np.zeros(2))["values"],
+         [[None] * 3, [None, 0.0, None], [None, None, 1.0]]),
+        (lambda inst: BudgetedEvaluator(inst, 5).batch(np.array([[1e200, -1e200], [1.0, 1.0]])).tolist(),
+         [np.inf, 2.0]),
+    ], ids=["evaluate", "evaluate_batch", "dominated_components", "export_grid",
+            "BudgetedEvaluator.batch"])
+    def test_entry_is_quiet(self, entry, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert entry(_two_far_basins()) == expected
+

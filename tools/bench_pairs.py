@@ -18,7 +18,8 @@ The JSON written holds every run's metrics and ``failed`` count, each
 metric's median per side with the parent's interquartile range, the number
 of pairs the change won (by each metric's better direction in
 BENCHMARK.json), three verdicts per metric, and the Python and numpy
-versions and CPU count.  The verdicts:
+versions and CPU count, and ``src_lines``, the lines of ``src/gnbg/*.py`` in
+each tree as ``wc -l`` counts them.  The verdicts:
 
 - ``gain_resolved``: the change won at least 9 of 10 pairs, and its median
   beats the parent's by more than the parent's interquartile range;
@@ -58,6 +59,11 @@ def run_bench(tree: Path, bench_args: list[str], seed: int) -> dict:
     metrics = {key: m["value"] for key, m in result["metrics"].items()}
     return {"seed": seed, "failed": result["failed"], "attempted": result["attempted"],
             "metrics": metrics}
+
+
+def src_lines(tree: Path) -> int:
+    """Newlines in ``tree``'s ``src/gnbg/*.py``: the total of ``wc -l``."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "gnbg").glob("*.py"))
 
 
 def medians(runs: list[dict]) -> dict:
@@ -144,6 +150,7 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "archive", info["parent"]], cwd=ROOT,
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        info["src_lines"] = {"parent": src_lines(tree), "change": src_lines(ROOT)}
         for i in range(PAIRS):
             seed = args.seed + i
             order = [(tree, parent), (ROOT, change)]
@@ -153,6 +160,7 @@ def main(argv=None) -> int:
                       f"failed {runs[-1]['failed']}", file=sys.stderr)
     record = assemble(parent, change, declared, info)
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
+    print(f"src_lines {record['src_lines']['parent']} -> {record['src_lines']['change']}")
     for key in record["change_wins"]:
         print(f"{key:36s} {record['median']['parent'][key]:.6g} -> "
               f"{record['median']['change'][key]:.6g}  won {record['change_wins'][key]}/{PAIRS}"
