@@ -21,7 +21,6 @@ from .core import classify, dominated_components, evaluate, evaluate_batch
 from .generators import ScenarioConfig, suite_instance
 from .harness import (
     DEFAULT_BUDGET,
-    DEFAULT_MILESTONES,
     DEFAULT_RUNS,
     DEFAULT_THRESHOLD,
     ExperimentSpec,
@@ -215,13 +214,6 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _milestones(args) -> tuple[int, ...]:
-    if args.milestones is None:
-        ms = tuple(m for m in DEFAULT_MILESTONES if m <= args.budget)
-        return ms or (args.budget,)
-    return tuple(_number_list("--milestones", args.milestones, int))
-
-
 def _spec(args, instance) -> ExperimentSpec:
     """The experiment the protocol flags describe."""
     return ExperimentSpec(
@@ -229,7 +221,8 @@ def _spec(args, instance) -> ExperimentSpec:
         optimizer=OptimizerConfig(kind=args.optimizer, population=args.population),
         runs=args.runs,
         budget=args.budget,
-        milestones=_milestones(args),
+        milestones=(None if args.milestones is None
+                    else _number_list("--milestones", args.milestones, int)),
         threshold=args.threshold,
         base_seed=args.seed,
     )

@@ -30,13 +30,15 @@ DEFAULT_MILESTONES = (100_000, 250_000, 500_000)
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One aggregated experiment: an instance, an optimizer, and a protocol."""
+    """One aggregated experiment: an instance, an optimizer, and a protocol.
+    ``milestones`` defaults to the protocol's ``DEFAULT_MILESTONES`` that fit
+    the budget, or the budget alone when none does."""
 
     instance: ProblemInstance
     optimizer: OptimizerConfig
     runs: int = DEFAULT_RUNS
     budget: int = DEFAULT_BUDGET
-    milestones: tuple[int, ...] = DEFAULT_MILESTONES
+    milestones: tuple[int, ...] | None = None
     threshold: float = DEFAULT_THRESHOLD
     base_seed: int = 0
     knob: float | str | None = None
@@ -47,7 +49,8 @@ class ExperimentSpec:
         if self.budget < 1:
             raise ValueError(f"budget must be >= 1, got {self.budget}")
         check_threshold(self.threshold)
-        ms = tuple(int(m) for m in self.milestones)
+        fitting = tuple(m for m in DEFAULT_MILESTONES if m <= self.budget) or (self.budget,)
+        ms = fitting if self.milestones is None else tuple(int(m) for m in self.milestones)
         if any(m < 1 for m in ms):
             raise ValueError("milestones must be >= 1")
         if any(m > self.budget for m in ms):

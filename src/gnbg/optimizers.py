@@ -260,12 +260,10 @@ def run_optimizer(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> RunResult:
     """Run the baseline ``cfg.kind`` on ``evaluator`` until its best error
-    reaches ``threshold`` or the budget is used up.  The searches' own steps
-    (PS's x +- mesh, DE's mutants) may overflow before they are clamped, quietly."""
+    reaches ``threshold`` or the budget is used up."""
     check_threshold(threshold)
     if cfg.kind == "pso" and cfg.population > evaluator.max_fe:
         raise ValueError(
             f"population {cfg.population} exceeds budget {evaluator.max_fe}"
         )
-    with np.errstate(over="ignore"):
-        return _run(SEARCHES[cfg.kind], evaluator, cfg, threshold)
+    return _run(SEARCHES[cfg.kind], evaluator, cfg, threshold)

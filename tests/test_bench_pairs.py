@@ -1,8 +1,9 @@
-"""The arithmetic and record of tools/bench_pairs.py; running the benchmark
-itself is not tested here."""
+"""The arithmetic and record of tools/bench_pairs.py, and its record of a
+failed run, against a fake perfbench; the real benchmark is not run here."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -135,3 +136,47 @@ def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
     (package / "notes.txt").write_text("skipped\n")
     assert bench_pairs.src_lines(tmp_path) == 4
 
+
+
+# a perfbench that fails on its third call: the change side of pair 1, which
+# runs the change first
+_FAKE_PERFBENCH = """\
+import json, sys
+from pathlib import Path
+calls = Path({calls!r})
+n = int(calls.read_text()) + 1 if calls.exists() else 1
+calls.write_text(str(n))
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if n == 3:
+    print("warming up", file=sys.stderr)
+    sys.exit("perfbench: workload w crashed at seed %d" % seed)
+print("a progress line")
+print(json.dumps({{"failed": 0, "attempted": 72, "metrics": {{"w:wall_s": {{"value": n}}}}}}))
+"""
+
+
+def test_a_failed_run_keeps_the_completed_pairs(tmp_path, monkeypatch, capsys):
+    """The pairs before a failed run are written, with the failure, which is
+    printed too, and the script exits non-zero."""
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text(
+        _FAKE_PERFBENCH.format(calls=str(tmp_path / "calls")))
+    (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [DECLARED["wall_s"]]}))
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "fake"]):
+        subprocess.run(git + args, cwd=repo, check=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    out = tmp_path / "bench.json"
+
+    assert bench_pairs.main(["--parent", "HEAD", "--out", str(out), "--seed", "5"]) == 1
+    record = json.loads(out.read_text())
+    assert record["pairs"] == [{"parent": _run(5, **{"w:wall_s": 1}),
+                                "change": _run(5, **{"w:wall_s": 2})}]
+    assert record["failure"] == {
+        "side": "change", "seed": 6, "exit_code": 1,
+        "stderr_tail": ["warming up", "perfbench: workload w crashed at seed 6"],
+    }
+    err = capsys.readouterr().err
+    assert "perfbench failed on the change side, seed 6, exit code 1" in err
+    assert "  perfbench: workload w crashed at seed 6" in err

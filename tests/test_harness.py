@@ -52,6 +52,13 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             _spec(runs=0)
 
+    def test_default_milestones_fit_the_budget(self):
+        """The protocol's milestones that fit the budget, or the budget alone."""
+        inst, cfg = gen_linearity(1.0), OptimizerConfig()
+        assert ExperimentSpec(inst, cfg, budget=1000).milestones == (1000,)
+        assert ExperimentSpec(inst, cfg, budget=300_000).milestones == (100_000, 250_000)
+        assert ExperimentSpec(inst, cfg).milestones == (100_000, 250_000, 500_000)
+
 
 class TestRunExperiment:
     def test_ps_succeeds_on_sphere(self):

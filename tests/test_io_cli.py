@@ -141,6 +141,16 @@ class TestRoundTrip:
         for k in (1, 12, 21):
             jsonschema.validate(serialize_instance(suite_instance(k, seed=0)), schema)
 
+    def test_schema_bounds_lie_within_the_box_limit(self):
+        schema = _schema("instance.schema.json")
+        doc = serialize_instance(_sphere_2d())
+        doc["bounds"] = {"lower": [-2.0**1000] * 2, "upper": [2.0**1000] * 2}
+        jsonschema.validate(doc, schema)
+        for side, sign in (("lower", -1.0), ("upper", 1.0)):
+            beyond = dict(doc["bounds"], **{side: [sign * np.nextafter(2.0**1000, np.inf)] * 2})
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(dict(doc, bounds=beyond), schema)
+
 
 class TestParseErrors:
     def _doc(self):
@@ -678,16 +688,20 @@ class TestCli:
         ["grid", "--i", "0", "--j", "1", "--resolution", "3"],
     ], ids=["run", "verify", "grid"])
     def test_box_whose_width_overflows_is_data_error(self, tmp_path, capsys, argv):
-        """A box of +-1.7e308 is finite but its width is not: rejected on
-        load, before a run draws in it or verify probes it."""
+        """A box of +-2**1000 is run, verified and gridded; one whose bounds
+        reach the next float beyond, or +-1.7e308 (finite, but its width is
+        not), is rejected on load, before a run draws in it or verify probes
+        it."""
         doc = serialize_instance(_sphere_2d())
-        doc["bounds"] = {"lower": [-1.7e308] * 2, "upper": [1.7e308] * 2}
         path = tmp_path / "wide.gnbg.json"
-        path.write_text(json.dumps(doc))  # compact, so verify would probe it
-        assert main([*argv, "--instance", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "gnbg: document: bounds width upper - lower must be finite" in captured.err
+        for bound, code in [(2.0**1000, 0), (np.nextafter(2.0**1000, np.inf), 2), (1.7e308, 2)]:
+            doc["bounds"] = {"lower": [-bound] * 2, "upper": [bound] * 2}
+            path.write_text(json.dumps(doc))  # compact, so verify would probe it
+            assert main([*argv, "--instance", str(path)]) == code
+            captured = capsys.readouterr()
+            if code:
+                assert captured.out == ""
+                assert "gnbg: document: bounds must be finite and within +-2**1000 (1.072e+301)" in captured.err
 
     def _overflowing_power(self, tmp_path):
         """A valid document whose lam = 1.5 power overflows away from its

@@ -4,11 +4,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnbg import optimizers
-from gnbg.core import BudgetedEvaluator, BudgetExhaustedError, Component, ProblemInstance
+from gnbg.core import (
+    BOUND_LIMIT,
+    BudgetedEvaluator,
+    BudgetExhaustedError,
+    Component,
+    ProblemInstance,
+)
 from gnbg.generators import SUITE_SIZE, gen_linearity, suite_instance
 from gnbg.optimizers import OptimizerConfig, run_optimizer
+from gnbg.rotation import random_theta
 from test_kernel import charge_one
 
 
@@ -337,3 +346,53 @@ def test_dispatch_by_kind():
     result = run_optimizer(ev, OptimizerConfig(kind="ps", seed=0))
     assert result.fe_used <= 200
     assert result.best_error <= 1e-8
+
+
+@st.composite
+def boxed_instances(draw):
+    """A one-component instance in a box anywhere inside +-BOUND_LIMIT, its
+    limits included and each dimension its own, with its centre anywhere in
+    the box, h from 1e-300 to 1e300, and half the time a dense rotation."""
+    d = draw(st.integers(1, 40))
+    end = st.sampled_from([-BOUND_LIMIT, BOUND_LIMIT]) | st.floats(-BOUND_LIMIT, BOUND_LIMIT)
+    ends = [sorted(draw(st.lists(end, min_size=2, max_size=2, unique=True))) for _ in range(d)]
+    lower, upper = np.array(ends).T
+    u = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
+    center = np.clip(lower + u * (upper - lower), lower, upper)
+    h = np.full(d, 10.0 ** draw(st.integers(-300, 300)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    theta = random_theta(d, 1.0, np.random.default_rng(seed)) if draw(st.booleans()) else None
+    return ProblemInstance(d, lower, upper, (Component(center, 0.0, h, theta=theta),)), seed
+
+
+class _BoxChecked(BudgetedEvaluator):
+    """Asserts that every row a search yields is finite and inside the box."""
+
+    def batch(self, X, *args, **kwargs):
+        lower, upper = self.instance.bounds
+        assert np.isfinite(X).all() and (lower <= X).all() and (X <= upper).all()
+        return super().batch(X, *args, **kwargs)
+
+
+class TestBoxLimit:
+    @settings(max_examples=60, deadline=None)
+    @given(boxed_instances())
+    def test_searches_stay_finite_in_any_box_within_the_limit(self, case):
+        """No search step overflows and no row leaves the box: each run
+        finishes under over and invalid = "raise"."""
+        inst, seed = case
+        for kind in ("ps", "pso", "de"):
+            ev = _BoxChecked(inst, 2_000)
+            with np.errstate(over="raise", invalid="raise"):
+                run_optimizer(ev, OptimizerConfig(kind=kind, seed=seed))
+            assert ev.fe_used == 2_000 or ev.best_error <= optimizers.DEFAULT_THRESHOLD
+
+    def test_run_leaves_the_callers_error_state_alone(self):
+        """``run_optimizer`` sets no error state of its own: PSO's velocity
+        overflows in a +-6e307 box, forced past the limit after the instance
+        is built, and that raises under over="raise"."""
+        inst = _quadratic_1d(0.0)
+        object.__setattr__(inst, "lower", np.array([-6e307]))
+        object.__setattr__(inst, "upper", np.array([6e307]))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            run_optimizer(BudgetedEvaluator(inst, 2_000), OptimizerConfig(kind="pso", seed=0))

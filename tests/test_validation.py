@@ -4,12 +4,13 @@ documented exception or exit code and a message naming the fault."""
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
 
 from gnbg.cli import main
-from gnbg.core import BudgetedEvaluator, Component, ProblemInstance
+from gnbg.core import BOUND_LIMIT, BudgetedEvaluator, Component, ProblemInstance
 from gnbg.generators import ScenarioConfig
 from gnbg.harness import ExperimentSpec
 from gnbg.instance_io import (
@@ -20,12 +21,15 @@ from gnbg.instance_io import (
     write_csv_report,
 )
 from gnbg.optimizers import OptimizerConfig
-from gnbg.rotation import ThetaSpec
+from gnbg.rotation import ThetaSpec, random_theta
 
 
-def _sphere(d=2, bound=100.0):
-    comp = Component(np.zeros(d), 0.0, np.ones(d))
+def _sphere(d=2, bound=100.0, theta=None):
+    comp = Component(np.zeros(d), 0.0, np.ones(d), theta=theta)
     return ProblemInstance(d, np.full(d, -bound), np.full(d, bound), (comp,))
+
+
+_BEYOND_THE_LIMIT = r"bounds must be finite and within \+-2\*\*1000 \(1\.072e\+301\)"
 
 
 class TestCliUsage:
@@ -65,6 +69,45 @@ class TestCliUsage:
         assert "exactly one of --instance / --suite is required" in capsys.readouterr().err
 
 
+class TestBoxLimit:
+    """Boxes that are finite but reach beyond +-2**1000 are data errors on
+    load: before, each failed only partway through a command."""
+
+    def _document(self, tmp_path, bound, **sphere):
+        """A document of a sphere at 0 whose box is +-``bound``, which no
+        instance can hold: its bounds are replaced after serializing."""
+        doc = serialize_instance(_sphere(**sphere))
+        d = doc["dim"]
+        doc["bounds"] = {"lower": [-bound] * d, "upper": [bound] * d}
+        path = tmp_path / "wide.gnbg.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def _assert_rejected(self, capsys):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search("gnbg: document: " + _BEYOND_THE_LIMIT, captured.err)
+
+    def test_pso_run_in_a_box_near_float_range(self, tmp_path, capsys):
+        """A 20k-FE PSO run in a +-6e307 box overflowed its velocity and died
+        with 'transform input must be finite'."""
+        path = self._document(tmp_path, 6e307)
+        assert main(["run", "--instance", path, "--optimizer", "pso", "--runs", "1",
+                     "--budget", "20000", "--seed", "0"]) == 2
+        self._assert_rejected(capsys)
+
+    def test_evaluate_of_a_rotated_sphere_in_a_box_near_float_range(self, tmp_path, capsys):
+        """In a +-8e307 box, R(x - m) at the in-box corner 8e307 sign(R[0])
+        overflowed, and evaluate raised 'transform input must be finite'."""
+        theta = random_theta(30, 1.0, np.random.default_rng(0))
+        corner = 8e307 * np.sign(_sphere(d=30, theta=theta).components[0].rotation[0])
+        path = self._document(tmp_path, 8e307, d=30, theta=theta)
+        point = tmp_path / "corner.json"
+        point.write_text(json.dumps(corner.tolist()))
+        assert main(["evaluate", "--instance", path, "--point", str(point)]) == 2
+        self._assert_rejected(capsys)
+
+
 class TestComponent:
     @pytest.mark.parametrize("center", [0.0, [[0.0, 0.0]], []], ids=["0-d", "2-d", "empty"])
     def test_center_not_a_nonempty_vector(self, center):
@@ -101,11 +144,17 @@ class TestProblemInstance:
             ProblemInstance(2, np.full(2, -1.0), np.full(2, 1.0), (comp,))
 
     def test_width_must_be_finite(self):
-        """A box is accepted while upper - lower stays below float's largest
-        value, 1.7977e308, and rejected once that width overflows."""
-        assert _sphere(bound=8.98e307).upper[0] == 8.98e307  # width 1.796e308
-        with pytest.raises(ValueError, match="bounds width upper - lower must be finite"):
-            _sphere(bound=8.99e307)  # width 1.798e308 > 1.7977e308
+        """Every bound lies within +-2**1000, which keeps the width finite:
+        the limit itself is accepted; the next float beyond it, on either
+        side, and a box whose width overflows are rejected."""
+        assert _sphere(bound=BOUND_LIMIT).upper[0] == BOUND_LIMIT == 2.0**1000
+        beyond = np.nextafter(BOUND_LIMIT, np.inf)
+        comp = Component(np.zeros(2), 0.0, np.ones(2))
+        for build in (lambda: _sphere(bound=beyond), lambda: _sphere(bound=1.7e308),
+                      lambda: ProblemInstance(2, np.array([-1.0, -beyond]), np.ones(2), (comp,)),
+                      lambda: ProblemInstance(2, -np.ones(2), np.array([beyond, 1.0]), (comp,))):
+            with pytest.raises(ValueError, match=_BEYOND_THE_LIMIT):
+                build()
 
 
 class TestConstructors:

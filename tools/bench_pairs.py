@@ -14,7 +14,12 @@ of the ``PAIRS`` pairs runs both trees with seed ``--seed + i``, the parent
 first in even pairs and the change first in odd ones, so a slow phase of the
 machine does not fall on one side only.
 
-The JSON written holds every run's metrics and ``failed`` count, each
+A perfbench run that exits non-zero ends the pairs: the JSON written then
+holds the pairs completed before it and, under ``failure``, that run's
+side, seed, exit code and last lines of stderr, which are also printed,
+and the script exits 1.
+
+Otherwise the JSON written holds every run's metrics and ``failed`` count, each
 metric's median per side with the parent's interquartile range, the number
 of pairs the change won (by each metric's better direction in
 BENCHMARK.json), three verdicts per metric, and the Python and numpy
@@ -47,18 +52,42 @@ ROOT = Path(__file__).resolve().parent.parent
 # share of them the change must win
 PAIRS = 10
 GAIN_SHARE = 0.9
+# the lines of a failed run's stderr kept in the record
+STDERR_LINES = 20
 
 
 def run_bench(tree: Path, bench_args: list[str], seed: int) -> dict:
-    """One run of ``tree``'s perfbench: its ``failed`` count and metric values."""
+    """One run of ``tree``'s perfbench: its ``failed`` count and metric
+    values, or, when it exits non-zero, its exit code and last lines of
+    stderr."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", *bench_args, "--seed", str(seed)],
-        cwd=tree, capture_output=True, text=True, check=True,
+        cwd=tree, capture_output=True, text=True,
     )
+    if done.returncode:
+        return {"seed": seed, "exit_code": done.returncode,
+                "stderr_tail": done.stderr.splitlines()[-STDERR_LINES:]}
     result = json.loads(done.stdout.strip().splitlines()[-1])
     metrics = {key: m["value"] for key, m in result["metrics"].items()}
     return {"seed": seed, "failed": result["failed"], "attempted": result["attempted"],
             "metrics": metrics}
+
+
+def run_pairs(parent_tree: Path, change_tree: Path, bench_args: list[str], first_seed: int):
+    """The parent's and the change's runs of up to ``PAIRS`` alternating
+    pairs, and the first run that failed, with its side, or None.  A failed
+    run ends the pairs, and only the pairs completed before it are kept."""
+    trees = {"parent": parent_tree, "change": change_tree}
+    runs = {"parent": [], "change": []}
+    for i in range(PAIRS):
+        seed = first_seed + i
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            run = run_bench(trees[side], bench_args, seed)
+            if "exit_code" in run:
+                return runs["parent"][:i], runs["change"][:i], {"side": side, **run}
+            runs[side].append(run)
+            print(f"pair {i} {side}: failed {run['failed']}", file=sys.stderr)
+    return runs["parent"], runs["change"], None
 
 
 def src_lines(tree: Path) -> int:
@@ -143,7 +172,6 @@ def main(argv=None) -> int:
         "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
     }
-    parent, change = [], []
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "parent"
         tree.mkdir()
@@ -151,13 +179,17 @@ def main(argv=None) -> int:
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
         info["src_lines"] = {"parent": src_lines(tree), "change": src_lines(ROOT)}
-        for i in range(PAIRS):
-            seed = args.seed + i
-            order = [(tree, parent), (ROOT, change)]
-            for where, runs in order if i % 2 == 0 else order[::-1]:
-                runs.append(run_bench(where, bench_args, seed))
-                print(f"pair {i} {'parent' if runs is parent else 'change'}: "
-                      f"failed {runs[-1]['failed']}", file=sys.stderr)
+        parent, change, failure = run_pairs(tree, ROOT, bench_args, args.seed)
+    if failure is not None:
+        pairs = [{"parent": p, "change": c} for p, c in zip(parent, change)]
+        Path(args.out).write_text(json.dumps({**info, "pairs": pairs, "failure": failure},
+                                             indent=2) + "\n")
+        print(f"perfbench failed on the {failure['side']} side, seed {failure['seed']}, "
+              f"exit code {failure['exit_code']}, after {len(pairs)} complete pairs; "
+              f"its last stderr lines:", file=sys.stderr)
+        for line in failure["stderr_tail"]:
+            print(f"  {line}", file=sys.stderr)
+        return 1
     record = assemble(parent, change, declared, info)
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
     print(f"src_lines {record['src_lines']['parent']} -> {record['src_lines']['change']}")
