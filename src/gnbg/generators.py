@@ -1,5 +1,6 @@
 """Scenario builders for isolated-challenge studies and the 24-instance suite.
 
+``_build`` makes every instance from one entry, a row of parameter values.
 All randomness flows through named sub-streams derived from (seed, labels),
 so adding a knob to one parameter group never perturbs the draws of another,
 and a fixed seed reproduces an instance bit for bit.
@@ -39,19 +40,172 @@ def _stream(seed: int, *labels) -> np.random.Generator:
     return np.random.default_rng(entropy)
 
 
-def _instance(cfg, components, generator, **knobs) -> ProblemInstance:
+# --- entries ----------------------------------------------------------------
+#
+# Every instance is built from one _Entry, a row of parameter values.  A
+# value is a constant, or a draw: a function of the component's _Slot that
+# reads its own labelled stream, so no draw perturbs another and the build
+# order does not matter.
+
+
+@dataclass(frozen=True)
+class _Slot:
+    """Component ``k`` of the ``o`` components of a ``dim``-D entry, whose
+    labelled streams are ``shared(*labels)``."""
+
+    shared: partial
+    k: int
+    o: int
+    dim: int
+
+    def own(self, label) -> np.random.Generator:
+        """Stream of this component; a single-component entry's is the
+        entry's own."""
+        return self.shared(label) if self.o == 1 else self.shared(label, self.k)
+
+
+def _value(spec, slot: _Slot):
+    return spec(slot) if callable(spec) else spec
+
+
+def _each(*specs):
+    """Component k takes ``specs[k]``."""
+    return lambda slot: _value(specs[slot.k], slot)
+
+
+def _uniform(label, lo, hi, size=None):
+    """``size`` uniform draws, by default one per variable."""
+    return lambda slot: slot.own(label).uniform(lo, hi, size=size or slot.dim)
+
+
+def _beta(label, lo, hi, a, b):
+    """Beta(a, b) draws stretched over [lo, hi]."""
+    return lambda slot: lo + (hi - lo) * slot.own(label).beta(a, b, size=slot.dim)
+
+
+def _spread_h(slot):
+    """Evenly spaced scalings from 0.1 to 1e6, randomly assigned to variables."""
+    return slot.own("h").permutation(np.linspace(0.1, 1e6, slot.dim))
+
+
+def _with_extremes(draw, lo, hi):
+    """``draw`` with two random positions set to exactly ``lo`` and ``hi``,
+    so the condition number is hi / lo."""
+
+    def extremes(slot):
+        h = draw(slot)
+        first, second = slot.own("h-extremes").permutation(slot.dim)[:2]
+        h[first], h[second] = lo, hi
+        return h
+
+    return extremes
+
+
+def _best_then(best, lo, hi):
+    """Component 0 holds the optimum ``best``; the others share one draw of
+    floor values from stream "sigmas"."""
+    return lambda slot: (
+        best if slot.k == 0 else slot.shared("sigmas").uniform(lo, hi, size=slot.o - 1)[slot.k - 1]
+    )
+
+
+def _shared_rows(label, lo, hi, scalar=False):
+    """Row k of one uniform draw of o rows, of d values or one ``scalar``
+    each, from the entry's stream ``label``."""
+    return lambda slot: slot.shared(label).uniform(
+        lo, hi, size=slot.o if scalar else (slot.o, slot.dim)
+    )[slot.k]
+
+
+def _random_theta(p_prob):
+    return lambda slot: random_theta(slot.dim, p_prob, slot.own("theta"))
+
+
+def _chain_theta(slot) -> ThetaSpec:
+    """Each variable interacts with the next one only."""
+    rng = slot.own("theta")
+    triples = [(i, i + 1, rng.uniform(*ANGLE_RANGE)) for i in range(1, slot.dim)]
+    return ThetaSpec.from_triples(slot.dim, triples)
+
+
+def _grouped_theta(group_angles):
+    """Partition variables into equal random groups, fully connect each
+    group internally with its own fixed angle."""
+
+    def grouped(slot):
+        size = slot.dim // len(group_angles)
+        perm = slot.own("theta").permutation(slot.dim) + 1
+        triples = [
+            (int(p), int(q), angle)
+            for g, angle in enumerate(group_angles)
+            for p, q in combinations(sorted(perm[g * size : (g + 1) * size]), 2)
+        ]
+        return ThetaSpec.from_triples(slot.dim, triples)
+
+    return grouped
+
+
+def _off_center_draw(slot):
+    """Point inside [-90, 90]^d but outside the central [-30, 30]^d cube."""
+    rng = slot.own("centers")
+    while True:
+        x = rng.uniform(-90.0, 90.0, size=slot.dim)
+        if np.any(np.abs(x) > 30.0):
+            return x
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """Parameters of one instance with ``o`` components.  A scalar
+    ``center`` or ``h`` fills the vector; the defaults are a single
+    component with a random interior center and negative floor value."""
+
+    o: int = 1
+    sigma: object = lambda slot: slot.own("sigma").uniform(-1200.0, 0.0)
+    center: object = _uniform("center", -80.0, 80.0)
+    h: object = 1.0
+    lam: object = 1.0
+    mu: object = (0.0, 0.0)
+    omega: object = (0.0, 0.0, 0.0, 0.0)
+    theta: object = None
+
+
+def _filled(value, slot: _Slot) -> np.ndarray:
+    return np.full(slot.dim, value) if np.ndim(value) == 0 else value
+
+
+def _build(entry: _Entry, cfg: ScenarioConfig, generator, *labels, **knobs) -> ProblemInstance:
+    """The ``cfg.dim``-D instance of ``entry`` on the default box, drawing
+    from streams labelled (``cfg.seed``, ``*labels``, ...), by default
+    (``cfg.seed``, ``generator``, ...); ``generator`` and ``knobs`` are its
+    provenance."""
+    shared = partial(_stream, cfg.seed, *(labels or (generator,)))
+    slots = [_Slot(shared, k, entry.o, cfg.dim) for k in range(entry.o)]
+    thetas = [_value(entry.theta, slot) for slot in slots]
+    compose(thetas)
+    components = [
+        Component(
+            center=_filled(_value(entry.center, slot), slot),
+            sigma=_value(entry.sigma, slot),
+            h_diag=_filled(_value(entry.h, slot), slot),
+            lam=_value(entry.lam, slot),
+            transform=TransformParams(_value(entry.mu, slot), _value(entry.omega, slot)),
+            theta=theta,
+        )
+        for slot, theta in zip(slots, thetas)
+    ]
     lower, upper = (np.full(cfg.dim, bound) for bound in DEFAULT_BOUNDS)
     provenance = {"generator": generator, "knobs": knobs, "seed": int(cfg.seed)}
     return ProblemInstance(cfg.dim, lower, upper, tuple(components), provenance)
 
 
+# --- scenarios ----------------------------------------------------------------
+
+
 def gen_linearity(lam: float, cfg: ScenarioConfig = ScenarioConfig()) -> ProblemInstance:
     """Single centered basin with the given linearity exponent; everything
     else neutral (no scaling, rotation, or local optima)."""
-    comp = Component(
-        center=np.zeros(cfg.dim), sigma=0.0, h_diag=np.ones(cfg.dim), lam=lam
-    )
-    return _instance(cfg, [comp], "linearity", lam=lam)
+    return _build(_Entry(sigma=0.0, center=0.0, lam=lam), cfg, "linearity", lam=lam)
 
 
 ALPHA_BETA = (0.4, 0.4)
@@ -73,14 +227,17 @@ def gen_conditioning(
     if cond > 1 and cfg.dim == 1:
         raise ValueError(f"a 1-D diagonal has condition number 1, got {cond}")
     alpha, beta = ALPHA_BETA
-    rng = _stream(cfg.seed, "conditioning", "h")
     a, b = 1.0, float(cond)
-    h = a + (b - a) * rng.beta(alpha, beta, size=cfg.dim)
-    extremes = rng.permutation(cfg.dim)[:2]
-    h[extremes[0]] = a
-    h[extremes[1] if cond > 1 else extremes[0]] = b
-    comp = Component(center=np.zeros(cfg.dim), sigma=0.0, h_diag=h, lam=1.0)
-    return _instance(cfg, [comp], "conditioning", cond=cond, alpha=alpha, beta=beta)
+
+    def stretched_beta(slot):
+        rng = slot.own("h")
+        h = a + (b - a) * rng.beta(alpha, beta, size=slot.dim)
+        extremes = rng.permutation(slot.dim)[:2]
+        h[extremes[0]], h[extremes[-1]] = a, b  # one position when d = 1, where a = b
+        return h
+
+    entry = _Entry(sigma=0.0, center=0.0, h=stretched_beta)
+    return _build(entry, cfg, "conditioning", cond=cond, alpha=alpha, beta=beta)
 
 
 def gen_interaction(
@@ -93,17 +250,11 @@ def gen_interaction(
     to ``fixed_angle``."""
     if (p_prob is None) == (fixed_angle is None):
         raise ValueError("exactly one of p_prob / fixed_angle must be given")
-    h = _stream(cfg.seed, "interaction", "h").uniform(1.0, 100.0, size=cfg.dim)
-    if fixed_angle is not None:
-        theta = full_theta(cfg.dim, fixed_angle)
-        knobs = {"fixed_angle": fixed_angle}
-    else:
-        theta = random_theta(cfg.dim, p_prob, _stream(cfg.seed, "interaction", "theta"))
-        knobs = {"p_prob": p_prob}
-    comp = Component(
-        center=np.zeros(cfg.dim), sigma=0.0, h_diag=h, lam=1.0, theta=theta
-    )
-    return _instance(cfg, [comp], "interaction", **knobs)
+    knobs = {"p_prob": p_prob} if fixed_angle is None else {"fixed_angle": fixed_angle}
+    theta = (_random_theta(p_prob) if fixed_angle is None
+             else lambda slot: full_theta(slot.dim, fixed_angle))
+    entry = _Entry(sigma=0.0, center=0.0, h=_uniform("h", 1.0, 100.0), theta=theta)
+    return _build(entry, cfg, "interaction", **knobs)
 
 
 def gen_multimodal(
@@ -111,14 +262,8 @@ def gen_multimodal(
 ) -> ProblemInstance:
     """Single symmetric multimodal basin: equal amplitudes and one shared
     frequency, no scaling or rotation."""
-    comp = Component(
-        center=np.zeros(cfg.dim),
-        sigma=0.0,
-        h_diag=np.ones(cfg.dim),
-        lam=1.0,
-        transform=TransformParams((mu, mu), (omega, omega, omega, omega)),
-    )
-    return _instance(cfg, [comp], "multimodal", mu=mu, omega=omega)
+    entry = _Entry(sigma=0.0, center=0.0, mu=(mu, mu), omega=(omega,) * 4)
+    return _build(entry, cfg, "multimodal", mu=mu, omega=omega)
 
 
 def gen_multicomponent(
@@ -136,147 +281,12 @@ def gen_multicomponent(
     if o < 1:
         raise ValueError(f"number of components must be >= 1, got {o}")
     lo, hi = center_range if center_range is not None else DEFAULT_BOUNDS
-    centers = _stream(cfg.seed, "multicomponent", "centers").uniform(
-        lo, hi, size=(o, cfg.dim)
-    )
-    sigmas = _stream(cfg.seed, "multicomponent", "sigmas").uniform(*sigma_range, size=o)
-    widths = _stream(cfg.seed, "multicomponent", "h").uniform(*h_range, size=o)
-    components = [
-        Component(
-            center=centers[k],
-            sigma=sigmas[k],
-            h_diag=np.full(cfg.dim, widths[k]),
-            lam=1.0,
-        )
-        for k in range(o)
-    ]
-    return _instance(
-        cfg, components, "multicomponent", o=o, sigma_range=sigma_range, h_range=h_range
-    )
+    entry = _Entry(o, _shared_rows("sigmas", *sigma_range, scalar=True),
+                   _shared_rows("centers", lo, hi), h=_shared_rows("h", *h_range, scalar=True))
+    return _build(entry, cfg, "multicomponent", o=o, sigma_range=sigma_range, h_range=h_range)
 
 
 # --- 24-instance suite -------------------------------------------------------
-#
-# Each entry is one row of parameter values.  A value is a constant, or a
-# draw: a function of the component's _Slot that reads its own labelled
-# stream, so no draw perturbs another and the build order does not matter.
-
-
-@dataclass(frozen=True)
-class _Slot:
-    """Component ``k`` of the ``o`` components of a suite entry, whose
-    labelled streams are ``shared(*labels)``."""
-
-    shared: partial
-    k: int
-    o: int
-
-    def own(self, label) -> np.random.Generator:
-        """Stream of this component; a single-component entry's is the
-        entry's own."""
-        return self.shared(label) if self.o == 1 else self.shared(label, self.k)
-
-
-def _value(spec, slot: _Slot):
-    return spec(slot) if callable(spec) else spec
-
-
-def _each(*specs):
-    """Component k takes ``specs[k]``."""
-    return lambda slot: _value(specs[slot.k], slot)
-
-
-def _uniform(label, lo, hi, size=DEFAULT_DIM):
-    return lambda slot: slot.own(label).uniform(lo, hi, size=size)
-
-
-def _beta(label, lo, hi, a, b):
-    """Beta(a, b) draws stretched over [lo, hi]."""
-    return lambda slot: lo + (hi - lo) * slot.own(label).beta(a, b, size=DEFAULT_DIM)
-
-
-def _spread_h(slot):
-    """Evenly spaced scalings from 0.1 to 1e6, randomly assigned to variables."""
-    return slot.own("h").permutation(np.linspace(0.1, 1e6, DEFAULT_DIM))
-
-
-def _with_extremes(draw, lo, hi):
-    """``draw`` with two random positions set to exactly ``lo`` and ``hi``,
-    so the condition number is hi / lo."""
-
-    def extremes(slot):
-        h = draw(slot)
-        first, second = slot.own("h-extremes").permutation(DEFAULT_DIM)[:2]
-        h[first], h[second] = lo, hi
-        return h
-
-    return extremes
-
-
-def _best_then(best, lo, hi):
-    """Component 0 holds the optimum ``best``; the others share one draw of
-    floor values from stream "sigmas"."""
-    return lambda slot: (
-        best if slot.k == 0 else slot.shared("sigmas").uniform(lo, hi, size=slot.o - 1)[slot.k - 1]
-    )
-
-
-def _shared_rows(label, lo, hi):
-    """Row k of one (o, d) uniform draw from the entry's stream ``label``."""
-    return lambda slot: slot.shared(label).uniform(lo, hi, size=(slot.o, DEFAULT_DIM))[slot.k]
-
-
-def _random_theta(p_prob):
-    return lambda slot: random_theta(DEFAULT_DIM, p_prob, slot.own("theta"))
-
-
-def _chain_theta(slot) -> ThetaSpec:
-    """Each variable interacts with the next one only."""
-    rng = slot.own("theta")
-    triples = [(i, i + 1, rng.uniform(*ANGLE_RANGE)) for i in range(1, DEFAULT_DIM)]
-    return ThetaSpec.from_triples(DEFAULT_DIM, triples)
-
-
-def _grouped_theta(group_angles):
-    """Partition variables into equal random groups, fully connect each
-    group internally with its own fixed angle."""
-    size = DEFAULT_DIM // len(group_angles)
-
-    def grouped(slot):
-        perm = slot.own("theta").permutation(DEFAULT_DIM) + 1
-        triples = [
-            (int(p), int(q), angle)
-            for g, angle in enumerate(group_angles)
-            for p, q in combinations(sorted(perm[g * size : (g + 1) * size]), 2)
-        ]
-        return ThetaSpec.from_triples(DEFAULT_DIM, triples)
-
-    return grouped
-
-
-def _off_center_draw(slot):
-    """Point inside [-90, 90]^d but outside the central [-30, 30]^d cube."""
-    rng = slot.own("centers")
-    while True:
-        x = rng.uniform(-90.0, 90.0, size=DEFAULT_DIM)
-        if np.any(np.abs(x) > 30.0):
-            return x
-
-
-@dataclass(frozen=True)
-class _Entry:
-    """Parameters of one suite entry with ``o`` components.  A scalar
-    ``center`` or ``h`` fills the vector; the defaults are a single
-    component with a random interior center and negative floor value."""
-
-    o: int = 1
-    sigma: object = _uniform("sigma", -1200.0, 0.0, size=None)
-    center: object = _uniform("center", -80.0, 80.0)
-    h: object = 1.0
-    lam: object = 1.0
-    mu: object = (0.0, 0.0)
-    omega: object = (0.0, 0.0, 0.0, 0.0)
-    theta: object = None
 
 
 _ASYMMETRIC = dict(mu=(0.2, 0.5), omega=(20.0, 50.0, 10.0, 25.0))
@@ -319,17 +329,13 @@ _SUITE = (
            _each(_uniform("centers", 80.0, 90.0), _uniform("centers", -90.0, -80.0)),
            h=_uniform("h", 1.0, 10.0), lam=_each(1.0, 0.9),
            mu=(0.5, 0.5), omega=_uniform("omega", 20.0, 50.0, 4), theta=_random_theta(0.7)),
-    _Entry(5, -100.0, lambda slot: slot.shared("center").uniform(-80.0, 80.0, size=DEFAULT_DIM),
+    _Entry(5, -100.0, lambda slot: slot.shared("center").uniform(-80.0, 80.0, size=slot.dim),
            lam=0.4, mu=(0.5, 0.5), omega=_uniform("omega", 20.0, 50.0, 4),
            theta=_random_theta(0.75)),
     _Entry(5, _best_then(-100.0, -99.0, -98.0), _shared_rows("centers", -80.0, 80.0),
            h=_uniform("h", 1.0, 1e5), lam=0.25, **_RUGGED, theta=_random_theta(0.75)),
 )
 SUITE_SIZE = len(_SUITE)
-
-
-def _filled(value) -> np.ndarray:
-    return np.full(DEFAULT_DIM, value) if np.ndim(value) == 0 else value
 
 
 def suite_instance(index: int, seed: int = 0) -> ProblemInstance:
@@ -341,20 +347,5 @@ def suite_instance(index: int, seed: int = 0) -> ProblemInstance:
     """
     if not 1 <= index <= SUITE_SIZE:
         raise ValueError(f"suite index must be in [1, {SUITE_SIZE}], got {index}")
-    entry = _SUITE[index - 1]
-    shared = partial(_stream, seed, "suite", index)
-    slots = [_Slot(shared, k, entry.o) for k in range(entry.o)]
-    thetas = [_value(entry.theta, slot) for slot in slots]
-    compose(thetas)
-    components = [
-        Component(
-            center=_filled(_value(entry.center, slot)),
-            sigma=_value(entry.sigma, slot),
-            h_diag=_filled(_value(entry.h, slot)),
-            lam=_value(entry.lam, slot),
-            transform=TransformParams(_value(entry.mu, slot), _value(entry.omega, slot)),
-            theta=theta,
-        )
-        for slot, theta in zip(slots, thetas)
-    ]
-    return _instance(ScenarioConfig(seed=seed), components, f"suite-f{index}", index=index)
+    return _build(_SUITE[index - 1], ScenarioConfig(seed=seed), f"suite-f{index}", "suite", index,
+                  index=index)

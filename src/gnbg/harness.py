@@ -107,13 +107,24 @@ def _run_all(specs: list[ExperimentSpec], workers: int) -> list[ExperimentReport
     return [aggregate(spec, tuple(islice(runs, spec.runs))) for spec in specs]
 
 
+def _statistic(stat, errs: np.ndarray) -> float:
+    """``stat(errs)``; where finite errors overflow it, ``stat`` of the errors
+    divided by a power of two at least as large as the largest (exact), then
+    multiplied back.  An inf error still gives inf or NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = stat(errs)
+        if not np.isfinite(value) and np.all(np.isfinite(errs)):
+            exponent = np.frexp(np.max(np.abs(errs)))[1]
+            value = np.ldexp(stat(np.ldexp(errs, -exponent)), exponent)
+    return float(value)
+
+
 def aggregate(spec: ExperimentSpec, results: tuple[RunResult, ...]) -> ExperimentReport:
     mean_errors, std_errors = {}, {}
     for m in spec.milestones:
         errs = np.array([r.error_at(m) for r in results])
-        mean_errors[m] = float(np.mean(errs))
-        with np.errstate(invalid="ignore"):  # an inf error makes the spread NaN
-            std_errors[m] = float(np.std(errs, ddof=1)) if len(errs) > 1 else 0.0
+        mean_errors[m] = _statistic(np.mean, errs)
+        std_errors[m] = _statistic(lambda e: np.std(e, ddof=1), errs) if len(errs) > 1 else 0.0
     fes = [r.fe_to_success for r in results if r.success]
     return ExperimentReport(
         knob=spec.knob,

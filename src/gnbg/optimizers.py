@@ -173,15 +173,12 @@ def _pso_rows(instance, cfg: OptimizerConfig, rng: np.random.Generator):
     g = int(np.argmin(pbest_val))
     while True:
         r1, r2 = rng.uniform(size=(n, 2, d)).transpose(1, 0, 2)
+        own = vel + C1 * r1 * (pbest - pos)  # no gbest; rows i.. hold until they move
         i = 0
         while i < n:
             # particles i.. all follow pbest[g]; charging stops at the
             # first one that beats it, the only one that moves g
-            v = CHI * (
-                vel[i:]
-                + C1 * r1[i:] * (pbest[i:] - pos[i:])
-                + C2 * r2[i:] * (pbest[g] - pos[i:])
-            )
+            v = CHI * (own[i:] + C2 * r2[i:] * (pbest[g] - pos[i:]))
             x = np.clip(pos[i:] + v, lower, upper)
             values = yield x, pbest_val[g]
             j = i + len(values)

@@ -134,7 +134,7 @@ def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
     (package / "b.py").write_text("z = 3\nw = 4")  # wc counts newlines: 1
     (package / "schemas" / "c.py").write_text("skipped\n")  # not in src/gnbg/*.py
     (package / "notes.txt").write_text("skipped\n")
-    assert bench_pairs.src_lines(tmp_path) == 4
+    assert bench_pairs.src_lines(tmp_path) == {"a.py": 3, "b.py": 1, "total": 4}
 
 
 

@@ -154,6 +154,31 @@ class TestGenMulticomponent:
             gen_multicomponent(0)
 
 
+# every scenario at each knob value the 30-D tests use, built at other dimensions
+SCENARIOS_AT_ANY_DIM = {
+    "linearity": lambda cfg: gen_linearity(0.5, cfg),
+    "conditioning": lambda cfg: gen_conditioning(1e3 if cfg.dim > 1 else 1.0, cfg),
+    "interaction-p": lambda cfg: gen_interaction(p_prob=0.5, cfg=cfg),
+    "interaction-angle": lambda cfg: gen_interaction(fixed_angle=0.7, cfg=cfg),
+    "multimodal": lambda cfg: gen_multimodal(0.5, 20.0, cfg),
+    "multicomponent": lambda cfg: gen_multicomponent(4, cfg, center_range=(-50.0, 50.0)),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7])
+@pytest.mark.parametrize("name", SCENARIOS_AT_ANY_DIM)
+def test_scenario_at_any_dimension(name, dim):
+    """Every vector has ``dim`` elements and the optimum is exact."""
+    inst = SCENARIOS_AT_ANY_DIM[name](ScenarioConfig(dim=dim, seed=5))
+    assert inst.dim == dim
+    assert inst.lower.shape == inst.upper.shape == (dim,)
+    for comp in inst.components:
+        assert comp.center.shape == comp.h_diag.shape == (dim,)
+        assert comp.theta is None or comp.theta.dim == dim
+        assert comp.rotation is None or comp.rotation.shape == (dim, dim)
+    assert evaluate(inst, inst.optimum_position) == inst.optimum_value
+
+
 class TestSuite:
     def test_all_instances_build_and_are_exact(self):
         for k in range(1, SUITE_SIZE + 1):

@@ -1,5 +1,6 @@
 """Golden corpus: stored instance hashes, evaluation values, short
-optimizer runs and the bytes of two CLI reports, compared exactly.
+optimizer runs, four long ones and the bytes of two CLI reports, compared
+exactly.
 
 The corpus pins behaviour to stored bits, so a refactor that changes any
 instance byte, any evaluation bit, any RNG draw or any FE charge fails here.
@@ -48,6 +49,12 @@ THRESHOLD_RUNS = (
     (1, "ps", 1e3), (1, "pso", 2e4), (1, "de", 6e4),
     (24, "ps", 225.0), (24, "pso", 190.0), (24, "de", 210.0),
 )
+# runs far past RUN_BUDGET (instance seed 0, run seed 1): PS on f7 and f16
+# makes its last fresh row at 26,464 and 29,241 FE, so each pins a stalled
+# tail (f16 ends in component 2's basin); PSO and DE on f24 pin screened
+# batches late in a run
+LONG_RUNS = ((7, "ps", 60_000), (16, "ps", 60_000), (24, "pso", 20_000), (24, "de", 20_000))
+LONG_RUN_SEED = 1
 SCENARIO_CFG = ScenarioConfig(seed=7)
 
 
@@ -115,9 +122,12 @@ def scenario_record(name: str) -> str:
     return _sha(dump_instance(SCENARIOS[name](SCENARIO_CFG)).encode())
 
 
-def run_record(k: int, kind: str, threshold: float = DEFAULT_THRESHOLD) -> dict:
-    evaluator = BudgetedEvaluator(suite_instance(k, 0), RUN_BUDGET)
-    cfg = OptimizerConfig(kind=kind, seed=RUN_SEED)
+def run_record(
+    k: int, kind: str, threshold: float = DEFAULT_THRESHOLD, budget: int = RUN_BUDGET,
+    seed: int = RUN_SEED,
+) -> dict:
+    evaluator = BudgetedEvaluator(suite_instance(k, 0), budget)
+    cfg = OptimizerConfig(kind=kind, seed=seed)
     result = run_optimizer(evaluator, cfg, threshold)
     history = ";".join(f"{fe}:{float(err).hex()}" for fe, err in result.history)
     return {
@@ -133,6 +143,10 @@ def run_record(k: int, kind: str, threshold: float = DEFAULT_THRESHOLD) -> dict:
     }
 
 
+def long_run_record(k: int, kind: str, budget: int) -> dict:
+    return run_record(k, kind, budget=budget, seed=LONG_RUN_SEED)
+
+
 def report_record(name: str) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         csv, js = pathlib.Path(tmp, "report.csv"), pathlib.Path(tmp, "report.json")
@@ -146,11 +160,16 @@ RUN_KEYS = [(k, kind, DEFAULT_THRESHOLD) for k in RUN_FUNCTIONS for kind in RUN_
 RUN_KEYS += list(THRESHOLD_RUNS)
 
 
+def _long_key(k: int, kind: str, budget: int) -> str:
+    return f"f{k}/{kind}/{budget}fe-seed{LONG_RUN_SEED}"
+
+
 def build_corpus() -> dict:
     return {
         "instances": {f"f{k}/s{s}": instance_record(k, s) for k, s in INSTANCE_KEYS},
         "reports": {name: report_record(name) for name in REPORT_COMMANDS},
-        "runs": {f"f{k}/{kind}/{t!r}": run_record(k, kind, t) for k, kind, t in RUN_KEYS},
+        "runs": {f"f{k}/{kind}/{t!r}": run_record(k, kind, t) for k, kind, t in RUN_KEYS}
+        | {_long_key(*key): long_run_record(*key) for key in LONG_RUNS},
         "scenarios": {name: scenario_record(name) for name in SCENARIOS},
     }
 
@@ -170,6 +189,13 @@ def test_instance_and_values(corpus, k, s):
 )
 def test_run(corpus, k, kind, threshold):
     assert run_record(k, kind, threshold) == corpus["runs"][f"f{k}/{kind}/{threshold!r}"]
+
+
+@pytest.mark.parametrize(
+    "k,kind,budget", LONG_RUNS, ids=[f"f{k}-{kind}-{budget}fe" for k, kind, budget in LONG_RUNS]
+)
+def test_long_run(corpus, k, kind, budget):
+    assert long_run_record(k, kind, budget) == corpus["runs"][_long_key(k, kind, budget)]
 
 
 @pytest.mark.parametrize(

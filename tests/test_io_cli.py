@@ -644,6 +644,28 @@ class TestCli:
             assert set(run["milestone_errors"].values()) == {None}
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_report_of_errors_whose_sum_overflows_is_finite(self, tmp_path, capfd):
+        """Six finite errors up to 1.5e308 overflow a direct sum; their mean
+        and spread are computed on the errors scaled by a power of two."""
+        comp = Component(np.zeros(1), 0.0, np.array([1.7e8]))
+        path = tmp_path / "wide.gnbg.json"
+        path.write_text(dump_instance(ProblemInstance(1, np.zeros(1), np.full(1, 1e150), (comp,))))
+        csv_out, json_out = tmp_path / "r.csv", tmp_path / "r.json"
+        assert main(["run", "--instance", str(path), "--optimizer", "ps", "--runs", "6",
+                     "--budget", "1", "--seed", "0", "--json", str(json_out),
+                     "--csv", str(csv_out)]) == 0
+        assert capfd.readouterr().err == ""
+        (report,) = _strict_json(json_out.read_text())
+        errs = np.array([run["best_error"] for run in report["run_results"]])
+        assert np.sum(errs / 4) > np.finfo(float).max / 4  # the direct sum overflows
+        exponent = np.frexp(np.max(errs))[1]
+        scaled = np.ldexp(errs, -exponent)
+        expected = [np.ldexp(np.mean(scaled), exponent), np.ldexp(np.std(scaled, ddof=1), exponent)]
+        (row,) = list(csv.DictReader(csv_out.read_text().splitlines()))
+        assert [float(row["mean_err_m1"]), float(row["std_err_m1"])] == expected
+        assert all(np.isfinite(expected))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_grid_of_overflowing_values_is_strict_json(self, tmp_path, capfd):
         """Grid values that overflow are null, with no warning printed."""
         out = tmp_path / "grid.json"

@@ -23,8 +23,9 @@ Otherwise the JSON written holds every run's metrics and ``failed`` count, each
 metric's median per side with the parent's interquartile range, the number
 of pairs the change won (by each metric's better direction in
 BENCHMARK.json), three verdicts per metric, and the Python and numpy
-versions and CPU count, and ``src_lines``, the lines of ``src/gnbg/*.py`` in
-each tree as ``wc -l`` counts them.  The verdicts:
+versions and CPU count, and ``src_lines``, the lines of each ``src/gnbg/*.py``
+module in each tree, and their ``total``, as ``wc -l`` counts them.  The
+verdicts:
 
 - ``gain_resolved``: the change won at least 9 of 10 pairs, and its median
   beats the parent's by more than the parent's interquartile range;
@@ -90,9 +91,12 @@ def run_pairs(parent_tree: Path, change_tree: Path, bench_args: list[str], first
     return runs["parent"], runs["change"], None
 
 
-def src_lines(tree: Path) -> int:
-    """Newlines in ``tree``'s ``src/gnbg/*.py``: the total of ``wc -l``."""
-    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "gnbg").glob("*.py"))
+def src_lines(tree: Path) -> dict:
+    """Newlines in each of ``tree``'s ``src/gnbg/*.py`` by file name, and
+    their ``total``: the counts of ``wc -l``."""
+    lines = {path.name: path.read_bytes().count(b"\n")
+             for path in sorted((tree / "src" / "gnbg").glob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
 
 
 def medians(runs: list[dict]) -> dict:
@@ -192,7 +196,11 @@ def main(argv=None) -> int:
         return 1
     record = assemble(parent, change, declared, info)
     Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
-    print(f"src_lines {record['src_lines']['parent']} -> {record['src_lines']['change']}")
+    lines = record["src_lines"]
+    for name in sorted(lines["parent"].keys() | lines["change"].keys(),
+                       key=lambda name: (name == "total", name)):
+        print(f"src_lines {name:16s} {lines['parent'].get(name, 0)} -> "
+              f"{lines['change'].get(name, 0)}")
     for key in record["change_wins"]:
         print(f"{key:36s} {record['median']['parent'][key]:.6g} -> "
               f"{record['median']['change'][key]:.6g}  won {record['change_wins'][key]}/{PAIRS}"
