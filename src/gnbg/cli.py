@@ -229,11 +229,7 @@ def _spec(args, instance) -> ExperimentSpec:
 
 
 def _emit_reports(args, reports) -> None:
-    text = csv_report_text(reports)
-    if args.csv is not None:
-        _write_out(text, args.csv)
-    else:
-        sys.stdout.write(text)
+    _write_out(csv_report_text(reports), args.csv)
     if args.json is not None:
         _write_out(_json_text([report_to_dict(r) for r in reports]), args.json)
 

@@ -313,10 +313,10 @@ class _Screen:
         components = kernel.components
         d = kernel.dim
         self.lam = components[0].lam
-        # the sign table in float32, frequencies halved and amplitudes doubled
-        factor = np.ones((len(kernel.signs), 1))
-        factor[:-1], factor[-1] = 0.5, 2.0
-        self.signs32 = (kernel.signs * factor).astype(np.float32)
+        # the sign table with both frequency rows (a table that dropped its
+        # equal second row repeats its first) in float32, frequencies halved
+        # and amplitudes doubled
+        self.signs32 = (kernel.signs[[0, -2, -1]] * [[0.5], [0.5], [2.0]]).astype(np.float32)
         # (o, 1, 1) column of 2k, broadcast against the (o, d, n) screen input
         self.screen_base = kernel.sign_base[:, :, None]
         mu = np.array([max(c.transform.mu) for c in components])
@@ -356,17 +356,14 @@ class _Screen:
             idx = self.screen_base + (z.view(np.uint32) >> 31)
             z *= z
             log_z2 = np.log(z, out=z)
-            table = self.signs32
-            s = table[0].take(idx)
+            w1, w2, mu = self.signs32
+            s = w1.take(idx)
             s *= log_z2
             np.sin(s, out=s)
-            if len(table) == 2:
-                s += s
-            else:
-                s2 = table[1].take(idx)
-                s2 *= log_z2
-                s += np.sin(s2, out=s2)
-            y = table[-1].take(idx)
+            s2 = w2.take(idx)
+            s2 *= log_z2
+            s += np.sin(s2, out=s2)
+            y = mu.take(idx)
             y *= s
             y += log_z2  # log T(z)**2
             a = np.abs(log_z2, out=log_z2)

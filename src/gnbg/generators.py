@@ -51,9 +51,12 @@ def _stream(seed: int, *labels) -> np.random.Generator:
 @dataclass(frozen=True)
 class _Slot:
     """Component ``k`` of the ``o`` components of a ``dim``-D entry, whose
-    labelled streams are ``shared(*labels)``."""
+    labelled streams are ``shared(*labels)``.  All slots of an entry share
+    ``opened``, its record of the streams opened and the rows drawn, so each
+    stream is opened once."""
 
     shared: partial
+    opened: dict
     k: int
     o: int
     dim: int
@@ -61,7 +64,17 @@ class _Slot:
     def own(self, label) -> np.random.Generator:
         """Stream of this component; a single-component entry's is the
         entry's own."""
-        return self.shared(label) if self.o == 1 else self.shared(label, self.k)
+        path = (label,) if self.o == 1 else (label, self.k)
+        if path not in self.opened:
+            self.opened[path] = self.shared(*path)
+        return self.opened[path]
+
+    def rows(self, label, lo, hi, size) -> np.ndarray:
+        """The entry's one uniform draw of ``size`` values from its stream
+        ``label``, shared by all its components."""
+        if label not in self.opened:
+            self.opened[label] = self.shared(label).uniform(lo, hi, size=size)
+        return self.opened[label]
 
 
 def _value(spec, slot: _Slot):
@@ -88,14 +101,15 @@ def _spread_h(slot):
     return slot.own("h").permutation(np.linspace(0.1, 1e6, slot.dim))
 
 
-def _with_extremes(draw, lo, hi):
-    """``draw`` with two random positions set to exactly ``lo`` and ``hi``,
-    so the condition number is hi / lo."""
+def _with_extremes(draw, lo, hi, label):
+    """``draw`` with two random positions, drawn from stream ``label``, set
+    to exactly ``lo`` and ``hi``, so the condition number is hi / lo (one
+    position, set to ``hi``, when d = 1)."""
 
     def extremes(slot):
         h = draw(slot)
-        first, second = slot.own("h-extremes").permutation(slot.dim)[:2]
-        h[first], h[second] = lo, hi
+        ends = slot.own(label).permutation(slot.dim)[:2]
+        h[ends[0]], h[ends[-1]] = lo, hi
         return h
 
     return extremes
@@ -104,17 +118,13 @@ def _with_extremes(draw, lo, hi):
 def _best_then(best, lo, hi):
     """Component 0 holds the optimum ``best``; the others share one draw of
     floor values from stream "sigmas"."""
-    return lambda slot: (
-        best if slot.k == 0 else slot.shared("sigmas").uniform(lo, hi, size=slot.o - 1)[slot.k - 1]
-    )
+    return lambda slot: best if slot.k == 0 else slot.rows("sigmas", lo, hi, slot.o - 1)[slot.k - 1]
 
 
 def _shared_rows(label, lo, hi, scalar=False):
     """Row k of one uniform draw of o rows, of d values or one ``scalar``
     each, from the entry's stream ``label``."""
-    return lambda slot: slot.shared(label).uniform(
-        lo, hi, size=slot.o if scalar else (slot.o, slot.dim)
-    )[slot.k]
+    return lambda slot: slot.rows(label, lo, hi, slot.o if scalar else (slot.o, slot.dim))[slot.k]
 
 
 def _random_theta(p_prob):
@@ -180,7 +190,8 @@ def _build(entry: _Entry, cfg: ScenarioConfig, generator, *labels, **knobs) -> P
     (``cfg.seed``, ``generator``, ...); ``generator`` and ``knobs`` are its
     provenance."""
     shared = partial(_stream, cfg.seed, *(labels or (generator,)))
-    slots = [_Slot(shared, k, entry.o, cfg.dim) for k in range(entry.o)]
+    opened = {}
+    slots = [_Slot(shared, opened, k, entry.o, cfg.dim) for k in range(entry.o)]
     thetas = [_value(entry.theta, slot) for slot in slots]
     compose(thetas)
     components = [
@@ -227,16 +238,8 @@ def gen_conditioning(
     if cond > 1 and cfg.dim == 1:
         raise ValueError(f"a 1-D diagonal has condition number 1, got {cond}")
     alpha, beta = ALPHA_BETA
-    a, b = 1.0, float(cond)
-
-    def stretched_beta(slot):
-        rng = slot.own("h")
-        h = a + (b - a) * rng.beta(alpha, beta, size=slot.dim)
-        extremes = rng.permutation(slot.dim)[:2]
-        h[extremes[0]], h[extremes[-1]] = a, b  # one position when d = 1, where a = b
-        return h
-
-    entry = _Entry(sigma=0.0, center=0.0, h=stretched_beta)
+    entry = _Entry(sigma=0.0, center=0.0,
+                   h=_with_extremes(_beta("h", 1.0, cond, alpha, beta), 1.0, cond, "h"))
     return _build(entry, cfg, "conditioning", cond=cond, alpha=alpha, beta=beta)
 
 
@@ -309,9 +312,9 @@ _SUITE = (
     _Entry(**_ASYMMETRIC, theta=_random_theta(1.0)),
     _Entry(**_ASYMMETRIC, theta=_grouped_theta((np.pi / 4, 3 * np.pi / 4, np.pi / 8))),
     _Entry(mu=(1.0, 1.0), omega=(50.0,) * 4, theta=_random_theta(1.0)),
-    _Entry(h=_with_extremes(_uniform("h", 1.0, 1e3), 0.01, 1e3), lam=0.6,
+    _Entry(h=_with_extremes(_uniform("h", 1.0, 1e3), 0.01, 1e3, "h-extremes"), lam=0.6,
            mu=(0.7, 0.2), omega=(25.0, 10.0, 20.0, 50.0), theta=_random_theta(1.0)),
-    _Entry(h=_with_extremes(_beta("h", 1.0, 1e5, 0.2, 0.2), 1.0, 1e5), lam=0.1,
+    _Entry(h=_with_extremes(_beta("h", 1.0, 1e5, 0.2, 0.2), 1.0, 1e5, "h-extremes"), lam=0.1,
            mu=(1.0, 1.0), omega=(10.0,) * 4, theta=_random_theta(1.0)),
     # 16-24: multimodal, competing components
     _Entry(**_COMPETING),
@@ -329,7 +332,7 @@ _SUITE = (
            _each(_uniform("centers", 80.0, 90.0), _uniform("centers", -90.0, -80.0)),
            h=_uniform("h", 1.0, 10.0), lam=_each(1.0, 0.9),
            mu=(0.5, 0.5), omega=_uniform("omega", 20.0, 50.0, 4), theta=_random_theta(0.7)),
-    _Entry(5, -100.0, lambda slot: slot.shared("center").uniform(-80.0, 80.0, size=slot.dim),
+    _Entry(5, -100.0, lambda slot: slot.rows("center", -80.0, 80.0, slot.dim),
            lam=0.4, mu=(0.5, 0.5), omega=_uniform("omega", 20.0, 50.0, 4),
            theta=_random_theta(0.75)),
     _Entry(5, _best_then(-100.0, -99.0, -98.0), _shared_rows("centers", -80.0, 80.0),

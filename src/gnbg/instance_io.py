@@ -340,9 +340,9 @@ def csv_report_text(reports: list[ExperimentReport]) -> str:
 
 
 def _json_float(value):
-    """A float for a JSON document: ``None`` (``null``) where it is not
-    finite, since ``inf`` and NaN are not JSON."""
-    return value if value is None or math.isfinite(value) else None
+    """A value for a JSON document: ``None`` (``null``) for a float that is
+    not finite, since ``inf`` and NaN are not JSON; any other value as it is."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def report_to_dict(report: ExperimentReport) -> dict:

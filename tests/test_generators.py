@@ -1,10 +1,12 @@
 """Tests for scenario builders and the 24-instance suite."""
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 
+from gnbg import generators
 from gnbg.core import classify, dominated_components, evaluate
 from gnbg.generators import (
     SUITE_SIZE,
@@ -177,6 +179,31 @@ def test_scenario_at_any_dimension(name, dim):
         assert comp.theta is None or comp.theta.dim == dim
         assert comp.rotation is None or comp.rotation.shape == (dim, dim)
     assert evaluate(inst, inst.optimum_position) == inst.optimum_value
+
+
+ONE_STREAM_BUILDS = {
+    f"{name}-d{dim}": partial(make, ScenarioConfig(dim=dim, seed=3))
+    for name, make in {
+        **SCENARIOS_AT_ANY_DIM, "multicomponent-40": lambda cfg: gen_multicomponent(40, cfg)
+    }.items()
+    for dim in (1, 7, 30)
+} | {f"f{k}": partial(suite_instance, k, 3) for k in range(1, SUITE_SIZE + 1)}
+
+
+@pytest.mark.parametrize("name", ONE_STREAM_BUILDS)
+def test_each_stream_is_opened_once(monkeypatch, name):
+    """An instance opens each labelled stream at most once: a shared draw is
+    made once for all components, and a component's stream carries all of
+    its draws."""
+    opened, stream = [], generators._stream
+
+    def counting(seed, *labels):
+        opened.append(labels)
+        return stream(seed, *labels)
+
+    monkeypatch.setattr(generators, "_stream", counting)
+    ONE_STREAM_BUILDS[name]()
+    assert len(opened) == len(set(opened))
 
 
 class TestSuite:

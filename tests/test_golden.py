@@ -1,6 +1,6 @@
 """Golden corpus: stored instance hashes, evaluation values, short
-optimizer runs, four long ones and the bytes of two CLI reports, compared
-exactly.
+optimizer runs, four long ones, the scenarios at three dimensions and the
+bytes of two CLI reports, compared exactly.
 
 The corpus pins behaviour to stored bits, so a refactor that changes any
 instance byte, any evaluation bit, any RNG draw or any FE charge fails here.
@@ -9,6 +9,7 @@ A golden value may change only with a stated reason.  Regenerate with
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -56,6 +57,9 @@ THRESHOLD_RUNS = (
 LONG_RUNS = ((7, "ps", 60_000), (16, "ps", 60_000), (24, "pso", 20_000), (24, "de", 20_000))
 LONG_RUN_SEED = 1
 SCENARIO_CFG = ScenarioConfig(seed=7)
+# every scenario is pinned at the default dimension and at these, under
+# the key ``<name>/d<dim>``
+SCENARIO_DIMS = (2, 7)
 
 
 def _conditioning_beta_02(cfg):
@@ -78,6 +82,7 @@ SCENARIOS = {
     "multimodal/0.5-50.0": lambda cfg: gen_multimodal(0.5, 50.0, cfg),
     "multicomponent/3": lambda cfg: gen_multicomponent(3, cfg),
     "multicomponent/10": lambda cfg: gen_multicomponent(10, cfg, center_range=(-50.0, 50.0)),
+    "multicomponent/40": lambda cfg: gen_multicomponent(40, cfg),
 }
 
 
@@ -118,8 +123,9 @@ def instance_record(k: int, s: int) -> dict:
     }
 
 
-def scenario_record(name: str) -> str:
-    return _sha(dump_instance(SCENARIOS[name](SCENARIO_CFG)).encode())
+def scenario_record(name: str, dim: int = SCENARIO_CFG.dim) -> str:
+    cfg = dataclasses.replace(SCENARIO_CFG, dim=dim)
+    return _sha(dump_instance(SCENARIOS[name](cfg)).encode())
 
 
 def run_record(
@@ -160,6 +166,9 @@ RUN_KEYS = [(k, kind, DEFAULT_THRESHOLD) for k in RUN_FUNCTIONS for kind in RUN_
 RUN_KEYS += list(THRESHOLD_RUNS)
 
 
+SCENARIO_KEYS = [(name, dim) for dim in SCENARIO_DIMS for name in SCENARIOS]
+
+
 def _long_key(k: int, kind: str, budget: int) -> str:
     return f"f{k}/{kind}/{budget}fe-seed{LONG_RUN_SEED}"
 
@@ -170,7 +179,8 @@ def build_corpus() -> dict:
         "reports": {name: report_record(name) for name in REPORT_COMMANDS},
         "runs": {f"f{k}/{kind}/{t!r}": run_record(k, kind, t) for k, kind, t in RUN_KEYS}
         | {_long_key(*key): long_run_record(*key) for key in LONG_RUNS},
-        "scenarios": {name: scenario_record(name) for name in SCENARIOS},
+        "scenarios": {name: scenario_record(name) for name in SCENARIOS}
+        | {f"{name}/d{dim}": scenario_record(name, dim) for name, dim in SCENARIO_KEYS},
     }
 
 
@@ -212,6 +222,13 @@ def test_threshold_run_stops_part_way(corpus, k, kind, threshold):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_scenario_instance(corpus, name):
     assert scenario_record(name) == corpus["scenarios"][name]
+
+
+@pytest.mark.parametrize(
+    "name,dim", SCENARIO_KEYS, ids=[f"{name}-d{dim}" for name, dim in SCENARIO_KEYS]
+)
+def test_scenario_instance_at_dim(corpus, name, dim):
+    assert scenario_record(name, dim) == corpus["scenarios"][f"{name}/d{dim}"]
 
 
 @pytest.mark.parametrize("name", REPORT_COMMANDS)

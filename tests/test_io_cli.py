@@ -14,7 +14,7 @@ from test_kernel import _two_far_basins, random_instances
 from gnbg.cli import _build_parser, main
 from gnbg.core import Component, ProblemInstance, evaluate, evaluate_batch
 from gnbg.generators import ScenarioConfig, gen_linearity, suite_instance
-from gnbg.harness import ExperimentSpec, run_experiment
+from gnbg.harness import ExperimentSpec, run_experiment, sweep
 from gnbg.instance_io import (
     InstanceFormatError,
     csv_report_text,
@@ -22,6 +22,7 @@ from gnbg.instance_io import (
     export_grid,
     load_instance,
     parse_instance,
+    report_to_dict,
     serialize_instance,
 )
 from gnbg.optimizers import OptimizerConfig
@@ -512,6 +513,16 @@ class TestCsvReport:
         row = text.splitlines()[1].split(",")
         assert row[-2] == "--"
         assert row[-1] == "0.0"
+
+    def test_string_knob_is_written_as_it_is(self):
+        """``ExperimentSpec.knob`` may be a string: the CSV and the JSON
+        record both carry it unchanged."""
+        template = ExperimentSpec(gen_linearity(1.0, ScenarioConfig(dim=2)),
+                                  OptimizerConfig(kind="ps"), runs=1, budget=50)
+        reports = sweep(template, ["a", "b"], lambda v: template.instance)
+        assert [row.split(",")[0] for row in csv_report_text(reports).splitlines()[1:]] == ["a", "b"]
+        records = json.loads(json.dumps([report_to_dict(r) for r in reports], allow_nan=False))
+        assert [r["knob"] for r in records] == ["a", "b"]
 
 
 class TestCli:
