@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -214,17 +214,17 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _spec(args, instance) -> ExperimentSpec:
+def _spec(args, instance, knob=None) -> ExperimentSpec:
     """The experiment the protocol flags describe."""
     return ExperimentSpec(
         instance=instance,
-        optimizer=OptimizerConfig(kind=args.optimizer, population=args.population),
+        optimizer=OptimizerConfig(kind=args.optimizer, seed=args.seed, population=args.population),
         runs=args.runs,
         budget=args.budget,
         milestones=(None if args.milestones is None
                     else _number_list("--milestones", args.milestones, int)),
         threshold=args.threshold,
-        base_seed=args.seed,
+        knob=knob,
     )
 
 
@@ -247,10 +247,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     values = _number_list("--values", args.values, float)
-    # the template's instance is the first value's: build each value once
-    make = cache(partial(_scenario_instance, args.scenario, args=args))
-    template = _spec(args, make(values[0]))
-    _emit_reports(args, sweep(template, values, make, workers=args.workers))
+    specs = [_spec(args, _scenario_instance(args.scenario, v, args), v) for v in values]
+    _emit_reports(args, sweep(specs, workers=args.workers))
     return EXIT_OK
 
 

@@ -39,7 +39,7 @@ class Component:
     """One basin: center, floor value, scaling, rotation, linearity, transform.
 
     ``theta`` holds the interaction angles when the rotation was built from
-    plane angles (kept for serialization and separability classification);
+    plane angles (kept for serialization);
     ``rotation`` may instead be supplied directly as an orthogonal matrix,
     but not both: a document stores one of them.
     """
@@ -496,30 +496,32 @@ def dominated_components(instance: ProblemInstance) -> list[int]:
     ]
 
 
+def _variable_groups(comp: Component) -> int:
+    """Number of groups of interacting variables: i and j interact when some
+    row of the rotation is nonzero in both columns, and the groups are the
+    connected components of that relation.  Unrotated, each variable is one."""
+    if not comp.is_rotated:
+        return comp.dim
+    nonzero = (comp.rotation != 0).astype(int)
+    linked = nonzero.T @ nonzero > 0
+    label = first = np.arange(comp.dim)
+    while True:  # each variable takes the smallest label it is linked to
+        smallest = np.where(linked, label, comp.dim).min(axis=1)
+        if np.array_equal(smallest, label):  # each group is labelled by its first variable
+            return int(np.count_nonzero(label == first))
+        label = smallest
+
+
 def _separability(instance: ProblemInstance) -> str:
     if len(instance.components) > 1:
         return "non-separable"
     comp = instance.components[0]
-    if comp.lam != 1.0:
-        # dimension-wise optimizable when unrotated, but not additively separable
-        return "fully-separable" if not comp.is_rotated else "non-separable"
-    if not comp.is_rotated:
+    groups = _variable_groups(comp)
+    if groups == comp.dim:
         return "fully-separable"
-    if comp.theta is None:
+    if groups == 1 or comp.lam != 1.0:  # a λ power makes the groups' terms not additive
         return "non-separable"
-    # connected components of the interaction graph decide partial separability
-    parent = list(range(comp.dim))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for p, q, _ in comp.theta.to_triples():
-        parent[find(p - 1)] = find(q - 1)
-    groups = len({find(i) for i in range(comp.dim)})
-    return "non-separable" if groups == 1 else "partially-separable"
+    return "partially-separable"
 
 
 def classify(instance: ProblemInstance) -> dict:

@@ -31,8 +31,9 @@ DEFAULT_MILESTONES = (100_000, 250_000, 500_000)
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One aggregated experiment: an instance, an optimizer, and a protocol.
-    ``milestones`` defaults to the protocol's ``DEFAULT_MILESTONES`` that fit
-    the budget, or the budget alone when none does."""
+    Run i uses the seed ``optimizer.seed + i``.  ``milestones`` defaults to
+    the protocol's ``DEFAULT_MILESTONES`` that fit the budget, or the budget
+    alone when none does."""
 
     instance: ProblemInstance
     optimizer: OptimizerConfig
@@ -40,7 +41,6 @@ class ExperimentSpec:
     budget: int = DEFAULT_BUDGET
     milestones: tuple[int, ...] | None = None
     threshold: float = DEFAULT_THRESHOLD
-    base_seed: int = 0
     knob: float | str | None = None
 
     def __post_init__(self):
@@ -76,23 +76,24 @@ class ExperimentReport:
 
 def _one_run(spec: ExperimentSpec, run_index: int) -> RunResult:
     evaluator = BudgetedEvaluator(spec.instance, spec.budget)
-    cfg = replace(spec.optimizer, seed=spec.base_seed + run_index)
+    cfg = replace(spec.optimizer, seed=spec.optimizer.seed + run_index)
     return run_optimizer(evaluator, cfg, spec.threshold)
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentReport:
-    """Execute all runs (seeds base_seed + i) and aggregate.
+    """Execute all runs of one spec and aggregate: ``sweep([spec], workers)[0]``.
 
     Error is best value found minus the known optimum value.  Milestone
     statistics use the sample (n-1) standard deviation; mean FE-to-success
     averages successful runs only and is None when none succeed.
     """
-    return _run_all([spec], workers)[0]
+    return sweep([spec], workers)[0]
 
 
-def _run_all(specs: list[ExperimentSpec], workers: int) -> list[ExperimentReport]:
-    """One report per spec.  All runs of all specs share one process pool;
-    results come back in (spec, run) order whatever the worker count."""
+def sweep(specs: list[ExperimentSpec], workers: int = 1) -> list[ExperimentReport]:
+    """One report per spec, in spec order.  All runs of all specs share one
+    process pool; results come back in (spec, run) order whatever the
+    worker count."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     tasks = [(spec, i) for spec in specs for i in range(spec.runs)]
@@ -136,15 +137,3 @@ def aggregate(spec: ExperimentSpec, results: tuple[RunResult, ...]) -> Experimen
         success_rate=100.0 * len(fes) / len(results),
         run_results=results,
     )
-
-
-def sweep(
-    template: ExperimentSpec,
-    knob_values,
-    make_instance,
-    workers: int = 1,
-) -> list[ExperimentReport]:
-    """One report per knob value; ``make_instance(value)`` builds the
-    instance for each, everything else taken from the template."""
-    specs = [replace(template, instance=make_instance(v), knob=v) for v in knob_values]
-    return _run_all(specs, workers)

@@ -51,14 +51,13 @@ def criterion(number, name):
     return decorate
 
 
-def _experiment(instance, kind, runs, budget, base_seed=0):
+def _experiment(instance, kind, runs, budget, seed=0):
     spec = ExperimentSpec(
         instance=instance,
-        optimizer=OptimizerConfig(kind=kind),
+        optimizer=OptimizerConfig(kind=kind, seed=seed),
         runs=runs,
         budget=budget,
         milestones=(budget,),
-        base_seed=base_seed,
     )
     return run_experiment(spec)
 
@@ -192,15 +191,17 @@ def test_separability_probe():
 
 @criterion(6, "pattern search linearity sweep")
 def test_ps_linearity_sweep():
-    template = ExperimentSpec(
-        instance=gen_linearity(1.0),
-        optimizer=OptimizerConfig(kind="ps"),
-        runs=11,
-        budget=100_000,
-        milestones=(100_000,),
-        base_seed=0,
-    )
-    reports = sweep(template, [0.25, 0.5, 0.75, 1.0], lambda v: gen_linearity(v))
+    reports = sweep([
+        ExperimentSpec(
+            instance=gen_linearity(v),
+            optimizer=OptimizerConfig(kind="ps", seed=0),
+            runs=11,
+            budget=100_000,
+            milestones=(100_000,),
+            knob=v,
+        )
+        for v in [0.25, 0.5, 0.75, 1.0]
+    ])
     fes = [r.mean_fe_success for r in reports]
     for r in reports:
         assert r.success_rate == 100.0
@@ -217,15 +218,17 @@ def test_de_sublinear_failure():
 
 @criterion(8, "pattern search conditioning trend")
 def test_ps_conditioning_trend():
-    template = ExperimentSpec(
-        instance=gen_conditioning(1.0),
-        optimizer=OptimizerConfig(kind="ps"),
-        runs=5,
-        budget=100_000,
-        milestones=(100_000,),
-        base_seed=0,
-    )
-    reports = sweep(template, [1.0, 1e3, 1e7], lambda v: gen_conditioning(v))
+    reports = sweep([
+        ExperimentSpec(
+            instance=gen_conditioning(v),
+            optimizer=OptimizerConfig(kind="ps", seed=0),
+            runs=5,
+            budget=100_000,
+            milestones=(100_000,),
+            knob=v,
+        )
+        for v in [1.0, 1e3, 1e7]
+    ])
     fes = [r.mean_fe_success for r in reports]
     assert all(fe is not None for fe in fes)
     assert fes[0] < fes[1] < fes[2]
@@ -256,11 +259,10 @@ def test_determinism():
         )
     spec = ExperimentSpec(
         instance=gen_linearity(1.0),
-        optimizer=OptimizerConfig(kind="ps"),
+        optimizer=OptimizerConfig(kind="ps", seed=7),
         runs=3,
         budget=30_000,
         milestones=(30_000,),
-        base_seed=7,
     )
     a, b = run_experiment(spec), run_experiment(spec)
     assert a.mean_errors == b.mean_errors

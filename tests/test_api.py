@@ -3,8 +3,10 @@ the benchmark's own self-tests.
 
 ``perfbench/spans.py`` wraps module attributes by name; if one of them is
 deleted or renamed, ``perfbench/run.py --trace 1`` breaks.  This test fails
-first.  ``perfbench/selftest.py`` runs optimizers through the API the
-benchmark calls, so a change that breaks that API fails here too.
+first.  If the CLI stops calling one of them through that name, its traced
+metric silently reads 0; the desk commands below call each one.
+``perfbench/selftest.py`` runs optimizers through the API the benchmark
+calls, so a change that breaks that API fails here too.
 """
 
 import importlib
@@ -40,6 +42,36 @@ def test_public_name_resolves(name):
 @pytest.mark.parametrize("module,attr", TRACED, ids=[f"{m}.{a}" for m, a in TRACED])
 def test_traced_attribute_exists(module, attr):
     assert hasattr(importlib.import_module(module), attr)
+
+
+def test_desk_commands_call_every_traced_cli_name(tmp_path, monkeypatch, capsys):
+    """``suite``, ``verify``, ``grid`` and ``sweep --csv`` call each name the
+    traced desk round wraps in ``gnbg.cli`` and ``gnbg.instance_io``."""
+    from gnbg.cli import main
+
+    calls = {}
+    for module, attr in TRACED:
+        if module in ("gnbg.cli", "gnbg.instance_io"):
+            fn = getattr(importlib.import_module(module), attr)
+
+            def counted(*args, _fn=fn, _key=f"{module}.{attr}", **kwargs):
+                calls[_key] += 1
+                return _fn(*args, **kwargs)
+
+            calls[f"{module}.{attr}"] = 0
+            monkeypatch.setattr(f"{module}.{attr}", counted)
+    doc = str(tmp_path / "f1.gnbg.json")
+    for argv in (
+        ["suite", "--id", "1", "--seed", "0", "--out", doc],
+        ["verify", "--instance", doc],
+        ["grid", "--instance", doc, "--i", "0", "--j", "1", "--resolution", "3",
+         "--out", str(tmp_path / "grid.json")],
+        ["sweep", "--scenario", "linearity", "--values", "1.0,2.0", "--dim", "2",
+         "--optimizer", "ps", "--runs", "1", "--budget", "10", "--milestones", "10",
+         "--seed", "0", "--csv", str(tmp_path / "sweep.csv")],
+    ):
+        assert main(argv) == 0, capsys.readouterr().err
+    assert [key for key, n in calls.items() if n == 0] == []
 
 
 def test_benchmark_self_tests_pass():

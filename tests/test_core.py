@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gnbg.core import (
@@ -15,7 +15,7 @@ from gnbg.core import (
     evaluate,
 )
 from gnbg.optimizers import DEFAULT_THRESHOLD, _finish
-from gnbg.rotation import ThetaSpec, random_theta
+from gnbg.rotation import ThetaSpec, random_theta, rotation_from_theta
 from gnbg.transform import TransformParams, apply_transform
 
 
@@ -247,11 +247,49 @@ class TestClassify:
         assert record["separability"] == "non-separable"
 
     def test_dense_rotation_non_separable(self):
-        """A dense rotation has no interaction graph to split."""
+        """Every row of this dense rotation links both variables: one group."""
         c, s = np.cos(0.3), np.sin(0.3)
         comp = _component(rotation=np.array([[c, -s], [s, c]]))
         assert (comp.lam, comp.theta) == (1.0, None)
         assert classify(_instance([comp]))["separability"] == "non-separable"
+
+    @pytest.mark.parametrize("triples,expected", [
+        ([], "fully-separable"),
+        ([(1, 2, 0.5), (3, 4, 0.7)], "partially-separable"),
+        ([(1, 2, 0.5), (2, 3, 0.7)], "partially-separable"),
+        ([(1, 2, 0.5), (2, 3, 0.7), (3, 4, -1.1)], "non-separable"),
+    ], ids=["identity", "two-blocks", "block-and-one", "chain"])
+    def test_dense_copy_classifies_as_its_angle_built_twin(self, triples, expected):
+        """The groups are read from the matrix however the rotation is stored."""
+        theta = ThetaSpec.from_triples(4, triples)
+        twin = _component(d=4, theta=theta)
+        copy = _component(d=4, rotation=np.eye(4) if twin.rotation is None else twin.rotation.copy())
+        assert copy.theta is None and copy.is_rotated
+        for comp in (twin, copy):
+            assert classify(_instance([comp], d=4))["separability"] == expected
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    def test_dense_permutation_is_fully_separable(self, lam):
+        """A permutation moves each variable alone: one group per variable,
+        as for its twin without a rotation."""
+        comp = _component(d=4, lam=lam, rotation=np.eye(4)[[2, 0, 3, 1]])
+        assert classify(_instance([comp], d=4))["separability"] == "fully-separable"
+        assert classify(_instance([_component(d=4, lam=lam)], d=4))["separability"] == "fully-separable"
+
+    def test_partial_groups_under_a_power_are_non_separable(self):
+        theta = ThetaSpec.from_triples(4, [(1, 2, 0.5), (3, 4, 0.7)])
+        for comp in (_component(d=4, lam=0.5, theta=theta),
+                     _component(d=4, lam=0.5, rotation=rotation_from_theta(theta))):
+            assert classify(_instance([comp], d=4))["separability"] == "non-separable"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 12), st.floats(0.05, 1.0), st.sampled_from([1.0, 0.5, 2.0]),
+           st.integers(0, 2**32 - 1))
+    def test_theta_and_dense_copy_classify_alike(self, d, p_prob, lam, seed):
+        comp = _component(d=d, lam=lam, theta=random_theta(d, p_prob, np.random.default_rng(seed)))
+        assume(comp.is_rotated)
+        copy = _component(d=d, lam=lam, rotation=comp.rotation.copy())
+        assert classify(_instance([copy], d=d)) == classify(_instance([comp], d=d))
 
 
 class TestBudgetedEvaluator:

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import gnbg
-from gnbg.generators import ScenarioConfig, gen_linearity
+from gnbg.core import BudgetedEvaluator
+from gnbg.generators import ScenarioConfig, gen_linearity, suite_instance
 from gnbg.harness import ExperimentSpec, run_experiment, sweep
-from gnbg.optimizers import OptimizerConfig
+from gnbg.optimizers import OptimizerConfig, run_optimizer
 
 
 def _spec(**kwargs):
@@ -24,7 +25,6 @@ def _spec(**kwargs):
         runs=3,
         budget=30_000,
         milestones=(10_000, 30_000),
-        base_seed=0,
     )
     defaults.update(kwargs)
     return ExperimentSpec(**defaults)
@@ -110,21 +110,36 @@ class TestRunExperiment:
             assert a.history == b.history
             assert [a.error_at(m) for m in ms] == [b.error_at(m) for m in ms]
 
+    def test_runs_take_seeds_from_the_optimizer_config(self):
+        """Run i of a spec is the run of seed ``optimizer.seed + i``."""
+        spec = _spec(optimizer=OptimizerConfig(kind="ps", seed=5), runs=2,
+                     budget=3_000, milestones=(3_000,))
+        expected = [
+            run_optimizer(BudgetedEvaluator(spec.instance, spec.budget),
+                          OptimizerConfig(kind="ps", seed=seed))
+            for seed in (5, 6)
+        ]
+        assert _runs([run_experiment(spec)]) == [(None, _outcomes(expected))]
+        seed_zero = replace(spec, optimizer=OptimizerConfig(kind="ps"))
+        assert _runs([run_experiment(seed_zero)]) != [(None, _outcomes(expected))]
+
 
 class TestSweep:
     def test_empty_values_give_empty_reports(self):
-        assert sweep(_spec(), [], lambda v: gen_linearity(v)) == []
+        assert sweep([]) == []
 
     def test_one_report_per_value(self):
-        reports = sweep(
-            _spec(budget=40_000, milestones=(40_000,)),
-            [0.75, 1.0],
-            lambda v: gen_linearity(v, ScenarioConfig()),
-        )
+        reports = sweep([
+            _spec(instance=gen_linearity(v, ScenarioConfig()), budget=40_000,
+                  milestones=(40_000,), knob=v)
+            for v in [0.75, 1.0]
+        ])
         assert [r.knob for r in reports] == [0.75, 1.0]
         assert all(r.success_rate == 100.0 for r in reports)
 
     def test_one_pool_for_all_values(self, monkeypatch):
+        """Mixed specs run through one sweep as each runs alone: in spec
+        order, serially at 1 worker and in one pool at 2."""
         pools = []
 
         class CountingPool(ProcessPoolExecutor):
@@ -132,22 +147,33 @@ class TestSweep:
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
+        specs = [
+            _spec(instance=suite_instance(1, 0), optimizer=OptimizerConfig(kind="ps", seed=3),
+                  runs=2, budget=2_000, milestones=(2_000,)),
+            _spec(instance=suite_instance(2, 0), optimizer=OptimizerConfig(kind="de", seed=1),
+                  runs=3, budget=1_000, milestones=(500, 1_000)),
+            _spec(instance=gen_linearity(0.5, ScenarioConfig(dim=5)), knob=0.5,
+                  optimizer=OptimizerConfig(kind="pso", seed=8, population=20),
+                  runs=2, budget=1_500, milestones=(1_500,)),
+        ]
+        alone = [run_experiment(spec) for spec in specs]
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        template = _spec(runs=2, budget=3_000, milestones=(3_000,))
-        values = [0.5, 1.0, 2.0]
-        parallel = sweep(template, values, gen_linearity, workers=2)
-        assert len(pools) == 1
-        serial = sweep(template, values, gen_linearity)
-
-        def runs(reports):
-            return [
-                (r.knob, [(x.best_value, x.fe_used, x.fe_to_success) for x in r.run_results])
-                for r in reports
+        for workers, pools_made in ((1, 0), (2, 1)):
+            pools.clear()
+            reports = sweep(specs, workers=workers)
+            assert len(pools) == pools_made
+            assert _runs(reports) == _runs(alone)
+            assert [(r.mean_errors, r.std_errors) for r in reports] == [
+                (r.mean_errors, r.std_errors) for r in alone
             ]
 
-        assert runs(parallel) == runs(serial)
-        alone = run_experiment(replace(template, instance=gen_linearity(1.0), knob=1.0))
-        assert runs([alone]) == runs(parallel)[1:2]
+
+def _outcomes(results):
+    return [(x.best_value, x.fe_used, x.fe_to_success, x.history) for x in results]
+
+
+def _runs(reports):
+    return [(r.knob, _outcomes(r.run_results)) for r in reports]
 
 
 def test_import_leaves_the_process_pool_unloaded():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kernel import _two_far_basins, random_instances
 
+from gnbg import cli
 from gnbg.cli import _build_parser, main
 from gnbg.core import Component, ProblemInstance, evaluate, evaluate_batch
 from gnbg.generators import ScenarioConfig, gen_linearity, suite_instance
@@ -495,7 +496,6 @@ class TestCsvReport:
             runs=2,
             budget=budget,
             milestones=(budget // 2, budget),
-            base_seed=0,
             knob=1.0,
         )
         return run_experiment(spec)
@@ -517,9 +517,9 @@ class TestCsvReport:
     def test_string_knob_is_written_as_it_is(self):
         """``ExperimentSpec.knob`` may be a string: the CSV and the JSON
         record both carry it unchanged."""
-        template = ExperimentSpec(gen_linearity(1.0, ScenarioConfig(dim=2)),
-                                  OptimizerConfig(kind="ps"), runs=1, budget=50)
-        reports = sweep(template, ["a", "b"], lambda v: template.instance)
+        instance = gen_linearity(1.0, ScenarioConfig(dim=2))
+        reports = sweep([ExperimentSpec(instance, OptimizerConfig(kind="ps"), runs=1, budget=50, knob=v)
+                         for v in ["a", "b"]])
         assert [row.split(",")[0] for row in csv_report_text(reports).splitlines()[1:]] == ["a", "b"]
         records = json.loads(json.dumps([report_to_dict(r) for r in reports], allow_nan=False))
         assert [r["knob"] for r in records] == ["a", "b"]
@@ -801,9 +801,14 @@ class TestCli:
         (["run", "--suite", "1", "--optimizer", "ps"], "-1"),
     ], ids=["run", "sweep", "env"])
     def test_negative_seed_is_data_error_naming_the_seed(self, capsys, monkeypatch, argv, env):
+        """The seed is checked when the spec is built, before any run."""
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "sweep", lambda *a, **k: calls.append(a))
         if env is not None:
             monkeypatch.setenv("GNBG_SEED", env)
         assert main(argv + ["--runs", "1", "--budget", "10", "--milestones", "10"]) == 2
+        assert calls == []
         assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_negative_suite_seed_still_accepted(self, capsys):
