@@ -91,19 +91,13 @@ def _number_list(flag: str, raw: str, kind) -> list:
         raise _UsageError(f"{flag} must be a comma-separated list, got {raw!r}") from None
 
 
-def _component_count(value: float) -> int:
-    if not value.is_integer():
-        raise ValueError(f"number of components must be a whole number, got {value}")
-    return int(value)
-
-
 # --scenario name -> instance at one knob value
 _SCENARIOS = {
     "linearity": lambda value, cfg, args: generators.gen_linearity(value, cfg),
     "conditioning": lambda value, cfg, args: generators.gen_conditioning(value, cfg=cfg),
     "interaction": lambda value, cfg, args: generators.gen_interaction(p_prob=value, cfg=cfg),
     "multimodal": lambda value, cfg, args: generators.gen_multimodal(value, args.omega, cfg),
-    "multicomponent": lambda value, cfg, args: generators.gen_multicomponent(_component_count(value), cfg),
+    "multicomponent": lambda value, cfg, args: generators.gen_multicomponent(value, cfg),
 }
 
 

@@ -34,6 +34,20 @@ class BudgetExhaustedError(RuntimeError):
     """Raised when a tracked evaluation is requested past the FE budget."""
 
 
+def _count(name: str, value, least: int | None = None) -> int:
+    """``value`` as an ``int``: the one check of every count a configuration
+    sets.  A whole number is an int, a numpy integer or a float with no
+    fraction (``1e3`` reads as 1000); anything else, and a whole number below
+    ``least``, is a ValueError naming ``name``."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a whole number, got {value}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class Component:
     """One basin: center, floor value, scaling, rotation, linearity, transform.
@@ -563,10 +577,8 @@ class BudgetedEvaluator:
     """
 
     def __init__(self, instance: ProblemInstance, max_fe: int):
-        if max_fe < 1:
-            raise ValueError(f"max_fe must be >= 1, got {max_fe}")
         self.instance = instance
-        self.max_fe = int(max_fe)
+        self.max_fe = _count("max_fe", max_fe, 1)
         self.fe_used = 0
         self.best_value = np.inf
         self.best_position: np.ndarray | None = None

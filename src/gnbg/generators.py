@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Component, ProblemInstance
+from .core import Component, ProblemInstance, _count
 from .rotation import ANGLE_RANGE, ThetaSpec, compose, full_theta, random_theta
 from .transform import TransformParams
 
@@ -29,13 +29,13 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", _count("dim", self.dim, 1))
+        object.__setattr__(self, "seed", _count("seed", self.seed))  # any sign: _stream masks it
 
 
 def _stream(seed: int, *labels) -> np.random.Generator:
     """Independent generator keyed by seed plus a label path."""
-    entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF]
+    entropy = [seed & 0xFFFFFFFFFFFFFFFF]
     entropy += [zlib.crc32(str(label).encode()) for label in labels]
     return np.random.default_rng(entropy)
 
@@ -206,7 +206,7 @@ def _build(entry: _Entry, cfg: ScenarioConfig, generator, *labels, **knobs) -> P
         for slot, theta in zip(slots, thetas)
     ]
     lower, upper = (np.full(cfg.dim, bound) for bound in DEFAULT_BOUNDS)
-    provenance = {"generator": generator, "knobs": knobs, "seed": int(cfg.seed)}
+    provenance = {"generator": generator, "knobs": knobs, "seed": cfg.seed}
     return ProblemInstance(cfg.dim, lower, upper, tuple(components), provenance)
 
 
@@ -281,8 +281,7 @@ def gen_multicomponent(
     Each component gets a single uniform value on its whole diagonal, a
     random center, and a random floor value drawn from ``sigma_range``.
     """
-    if o < 1:
-        raise ValueError(f"number of components must be >= 1, got {o}")
+    o = _count("number of components", o, 1)
     lo, hi = center_range if center_range is not None else DEFAULT_BOUNDS
     entry = _Entry(o, _shared_rows("sigmas", *sigma_range, scalar=True),
                    _shared_rows("centers", lo, hi), h=_shared_rows("h", *h_range, scalar=True))
@@ -348,6 +347,7 @@ def suite_instance(index: int, seed: int = 0) -> ProblemInstance:
     16-24 multimodal with multiple competing components.  All are 30-D on
     [-100, 100] with the optimum strictly inside the box.
     """
+    index = _count("suite index", index)
     if not 1 <= index <= SUITE_SIZE:
         raise ValueError(f"suite index must be in [1, {SUITE_SIZE}], got {index}")
     return _build(_SUITE[index - 1], ScenarioConfig(seed=seed), f"suite-f{index}", "suite", index,

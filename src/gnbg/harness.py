@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import BudgetedEvaluator, ProblemInstance
+from .core import BudgetedEvaluator, ProblemInstance, _count
 from .optimizers import (
     DEFAULT_THRESHOLD,
     OptimizerConfig,
@@ -44,15 +44,12 @@ class ExperimentSpec:
     knob: float | str | None = None
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
+        object.__setattr__(self, "runs", _count("runs", self.runs, 1))
+        object.__setattr__(self, "budget", _count("budget", self.budget, 1))
         check_threshold(self.threshold)
         fitting = tuple(m for m in DEFAULT_MILESTONES if m <= self.budget) or (self.budget,)
-        ms = fitting if self.milestones is None else tuple(int(m) for m in self.milestones)
-        if any(m < 1 for m in ms):
-            raise ValueError("milestones must be >= 1")
+        ms = fitting if self.milestones is None else tuple(
+            _count("milestones", m, 1) for m in self.milestones)
         if any(m > self.budget for m in ms):
             raise ValueError("milestones must not exceed the budget")
         if any(b <= a for a, b in zip(ms, ms[1:])):
@@ -94,8 +91,7 @@ def sweep(specs: list[ExperimentSpec], workers: int = 1) -> list[ExperimentRepor
     """One report per spec, in spec order.  All runs of all specs share one
     process pool; results come back in (spec, run) order whatever the
     worker count."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _count("workers", workers, 1)
     tasks = [(spec, i) for spec in specs for i in range(spec.runs)]
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # costly; only when a run needs it

@@ -19,7 +19,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import Component, ProblemInstance, evaluate_batch
+from .core import Component, ProblemInstance, _count, evaluate_batch
 from .harness import ExperimentReport
 from .rotation import ThetaSpec, compose
 from .transform import TransformParams
@@ -288,10 +288,10 @@ def export_grid(
     ``None`` (``null``), as in ``report_to_dict``.
     """
     d = instance.dim
+    i, j = _count("i", i), _count("j", j)
     if not (0 <= i < d and 0 <= j < d) or i == j:
         raise ValueError(f"axis indices must be distinct and in [0, {d}), got ({i}, {j})")
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    resolution = _count("resolution", resolution, 2)
     fixed = np.asarray(fixed, dtype=float)
     if fixed.shape != (d,):
         raise ValueError(f"fixed must have shape ({d},)")
@@ -303,9 +303,9 @@ def export_grid(
     values = evaluate_batch(instance, points).reshape(resolution, resolution).tolist()
     return {
         "format_version": GRID_FORMAT_VERSION,
-        "axis": [int(i), int(j)],
+        "axis": [i, j],
         "fixed": fixed.tolist(),
-        "resolution": int(resolution),
+        "resolution": resolution,
         "values": [[_json_float(v) for v in row] for row in values],
     }
 

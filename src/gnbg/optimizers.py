@@ -26,7 +26,7 @@ from math import inf
 
 import numpy as np
 
-from .core import BudgetedEvaluator
+from .core import BudgetedEvaluator, _count
 
 DEFAULT_THRESHOLD = 1e-8
 
@@ -44,10 +44,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in SEARCHES:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.population < 1:
-            raise ValueError(f"population must be >= 1, got {self.population}")
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0))
+        object.__setattr__(self, "population", _count("population", self.population, 1))
         if self.kind == "de" and self.population < 4:
             raise ValueError(f"population must be >= 4 for DE, got {self.population}")
 
@@ -259,8 +257,4 @@ def run_optimizer(
     """Run the baseline ``cfg.kind`` on ``evaluator`` until its best error
     reaches ``threshold`` or the budget is used up."""
     check_threshold(threshold)
-    if cfg.kind == "pso" and cfg.population > evaluator.max_fe:
-        raise ValueError(
-            f"population {cfg.population} exceeds budget {evaluator.max_fe}"
-        )
     return _run(SEARCHES[cfg.kind], evaluator, cfg, threshold)

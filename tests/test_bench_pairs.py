@@ -137,6 +137,15 @@ def test_src_lines_counts_the_package_modules_as_wc_does(tmp_path):
     assert bench_pairs.src_lines(tmp_path) == {"a.py": 3, "b.py": 1, "total": 4}
 
 
+def test_simd_path_names_the_dispatch_targets_this_cpu_has():
+    from numpy._core import _multiarray_umath as umath
+
+    simd = bench_pairs.simd_path()
+    assert simd["baseline"] == list(umath.__cpu_baseline__)
+    assert set(simd["found"]) <= set(umath.__cpu_dispatch__)
+    assert all(umath.__cpu_features__[t] for t in simd["found"])
+    assert json.loads(json.dumps(simd)) == simd
+
 
 # a perfbench that fails on its third call: the change side of pair 1, which
 # runs the change first
@@ -171,6 +180,7 @@ def test_a_failed_run_keeps_the_completed_pairs(tmp_path, monkeypatch, capsys):
 
     assert bench_pairs.main(["--parent", "HEAD", "--out", str(out), "--seed", "5"]) == 1
     record = json.loads(out.read_text())
+    assert record["simd"] == bench_pairs.simd_path()
     assert record["pairs"] == [{"parent": _run(5, **{"w:wall_s": 1}),
                                 "change": _run(5, **{"w:wall_s": 2})}]
     assert record["failure"] == {

@@ -96,6 +96,20 @@ REPORT_COMMANDS = {
 }
 
 
+def _simd_found() -> list[str]:
+    """numpy's SIMD dispatch targets found on this CPU: they pick the code,
+    and so the bits, of its vectorized exp and log, so a host on another
+    path names it when a value or run differs."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]
+
+
+SIMD = f"numpy SIMD found: {_simd_found()}"
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -191,21 +205,21 @@ def corpus():
 
 @pytest.mark.parametrize("k,s", INSTANCE_KEYS, ids=[f"f{k}-s{s}" for k, s in INSTANCE_KEYS])
 def test_instance_and_values(corpus, k, s):
-    assert instance_record(k, s) == corpus["instances"][f"f{k}/s{s}"]
+    assert instance_record(k, s) == corpus["instances"][f"f{k}/s{s}"], SIMD
 
 
 @pytest.mark.parametrize(
     "k,kind,threshold", RUN_KEYS, ids=[f"f{k}-{kind}-{t!r}" for k, kind, t in RUN_KEYS]
 )
 def test_run(corpus, k, kind, threshold):
-    assert run_record(k, kind, threshold) == corpus["runs"][f"f{k}/{kind}/{threshold!r}"]
+    assert run_record(k, kind, threshold) == corpus["runs"][f"f{k}/{kind}/{threshold!r}"], SIMD
 
 
 @pytest.mark.parametrize(
     "k,kind,budget", LONG_RUNS, ids=[f"f{k}-{kind}-{budget}fe" for k, kind, budget in LONG_RUNS]
 )
 def test_long_run(corpus, k, kind, budget):
-    assert long_run_record(k, kind, budget) == corpus["runs"][_long_key(k, kind, budget)]
+    assert long_run_record(k, kind, budget) == corpus["runs"][_long_key(k, kind, budget)], SIMD
 
 
 @pytest.mark.parametrize(
@@ -233,7 +247,7 @@ def test_scenario_instance_at_dim(corpus, name, dim):
 
 @pytest.mark.parametrize("name", REPORT_COMMANDS)
 def test_report_bytes(corpus, name):
-    assert report_record(name) == corpus["reports"][name]
+    assert report_record(name) == corpus["reports"][name], SIMD
 
 
 DOCUMENTS = {f"f{k}-s{s}": partial(suite_instance, k, s) for k, s in INSTANCE_KEYS}

@@ -608,6 +608,23 @@ class TestCli:
         assert captured.out == ""
         assert f"whole number, got {float(value)}" in captured.err
 
+    def test_fractional_component_count_message(self, capsys):
+        """The generator's own count check names the fault, as the CLI's did."""
+        assert main(["generate", "--scenario", "multicomponent", "--value", "2.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gnbg: number of components must be a whole number, got 2.5\n"
+
+    def test_pso_swarm_larger_than_the_budget_runs_in_the_pool(self, tmp_path, capsys):
+        """The default swarm of 100 on a budget of 50: each run charges its
+        first 50 particles and ends, in a pool worker too."""
+        out = tmp_path / "r.json"
+        assert main(["run", "--suite", "1", "--optimizer", "pso", "--budget", "50",
+                     "--runs", "2", "--workers", "2", "--json", str(out)]) == 0
+        capsys.readouterr()
+        [report] = json.loads(out.read_text())
+        assert [r["fe_used"] for r in report["run_results"]] == [50, 50]
+
     def test_nan_threshold_is_data_error(self, capsys):
         assert main(["run", "--suite", "1", "--optimizer", "ps", "--runs", "1",
                      "--budget", "50", "--milestones", "50", "--threshold", "nan"]) == 2

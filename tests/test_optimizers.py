@@ -15,7 +15,13 @@ from gnbg.core import (
     Component,
     ProblemInstance,
 )
-from gnbg.generators import SUITE_SIZE, gen_linearity, suite_instance
+from gnbg.generators import (
+    SUITE_SIZE,
+    ScenarioConfig,
+    gen_linearity,
+    gen_multicomponent,
+    suite_instance,
+)
 from gnbg.optimizers import OptimizerConfig, run_optimizer
 from gnbg.rotation import random_theta
 from test_kernel import charge_one
@@ -163,11 +169,6 @@ class TestPso:
         result = run_optimizer(ev, OptimizerConfig(kind="pso", seed=0, population=3))
         assert result.best_error <= 1e-8
 
-    def test_population_exceeding_budget_rejected(self):
-        ev = BudgetedEvaluator(_quadratic_1d(), 50)
-        with pytest.raises(ValueError):
-            run_optimizer(ev, OptimizerConfig(kind="pso", seed=0, population=100))
-
     def test_init_consumes_population_evaluations(self):
         ev = BudgetedEvaluator(gen_linearity(1.0), 100)
         result = run_optimizer(ev, OptimizerConfig(kind="pso", seed=0, population=100))
@@ -178,6 +179,39 @@ class TestPso:
         result = run_optimizer(ev, OptimizerConfig(kind="pso", seed=1))
         ms = [result.error_at(m) for m in (500, 1_000, 2_000)]
         assert ms[0] >= ms[1] >= ms[2]
+
+
+_THREE_BUMPS_2D = gen_multicomponent(3, ScenarioConfig(dim=2))
+
+
+class TestPopulationPastTheBudget:
+    """A first batch larger than the budget is charged up to the budget and
+    ends the run, as every batch the budget truncates does."""
+
+    @pytest.mark.parametrize("kind", ["pso", "de"])
+    def test_first_batch_is_charged_up_to_the_budget(self, kind):
+        inst = _quadratic_1d()
+        result = run_optimizer(BudgetedEvaluator(inst, 50),
+                               OptimizerConfig(kind=kind, seed=0, population=100))
+        assert result.fe_used == 50 and not result.success
+        # the first 50 of the 100 initial positions, in draw order
+        first = np.random.default_rng(0).uniform(inst.lower, inst.upper, size=(100, 1))[:50]
+        errors = (first[:, 0] - 3.0) ** 2
+        assert result.best_error == errors.min()
+        assert result.best_position[0] == first[np.argmin(errors), 0]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(optimizers.SEARCHES)), st.integers(1, 60), st.data())
+    def test_any_population_runs_to_the_budget(self, kind, budget, data):
+        """Any population from the kind's least to twice the budget: the run
+        never raises and uses the whole budget unless it succeeds."""
+        least = 4 if kind == "de" else 1
+        population = data.draw(st.integers(least, max(least, 2 * budget)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        result = run_optimizer(BudgetedEvaluator(_THREE_BUMPS_2D, budget),
+                               OptimizerConfig(kind=kind, seed=seed, population=population))
+        assert result.fe_used <= budget
+        assert result.fe_used == budget or result.success
 
 
 class TestDe:

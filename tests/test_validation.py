@@ -9,14 +9,17 @@ import re
 import numpy as np
 import pytest
 
-from gnbg.cli import main
+from gnbg.cli import _json_text, main
 from gnbg.core import BOUND_LIMIT, BudgetedEvaluator, Component, ProblemInstance
-from gnbg.generators import ScenarioConfig
-from gnbg.harness import ExperimentSpec
+from gnbg.generators import ScenarioConfig, gen_linearity, gen_multicomponent, suite_instance
+from gnbg.harness import ExperimentSpec, run_experiment, sweep
 from gnbg.instance_io import (
     InstanceFormatError,
+    csv_report_text,
+    dump_instance,
     export_grid,
     parse_instance,
+    report_to_dict,
     serialize_instance,
     write_csv_report,
 )
@@ -170,6 +173,95 @@ class TestConstructors:
     def test_rejects(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+
+def _spec(**fields):
+    return ExperimentSpec(_sphere(), OptimizerConfig(), **fields)
+
+
+# every count a configuration sets: (its name in messages, a build from one
+# value of it, and the count read back from what was built)
+COUNTS = {
+    "OptimizerConfig.seed": ("seed", lambda v: OptimizerConfig(seed=v), lambda c: c.seed),
+    "OptimizerConfig.population": (
+        "population", lambda v: OptimizerConfig(population=v), lambda c: c.population),
+    "ExperimentSpec.runs": ("runs", lambda v: _spec(runs=v), lambda s: s.runs),
+    "ExperimentSpec.budget": ("budget", lambda v: _spec(budget=v), lambda s: s.budget),
+    "ExperimentSpec.milestones": (
+        "milestones", lambda v: _spec(milestones=(v,)), lambda s: s.milestones[0]),
+    "BudgetedEvaluator.max_fe": (
+        "max_fe", lambda v: BudgetedEvaluator(_sphere(), max_fe=v), lambda e: e.max_fe),
+    "ScenarioConfig.dim": ("dim", lambda v: ScenarioConfig(dim=v), lambda c: c.dim),
+    "ScenarioConfig.seed": ("seed", lambda v: ScenarioConfig(seed=v), lambda c: c.seed),
+    "sweep.workers": ("workers", lambda v: sweep([_spec(runs=1, budget=3)], workers=v),
+                      lambda reports: reports[0].run_results[0].fe_used),
+    "gen_multicomponent.o": ("number of components", lambda v: gen_multicomponent(v),
+                             lambda inst: inst.provenance["knobs"]["o"]),
+    "export_grid.i": ("i", lambda v: export_grid(_sphere(4), v, 0, 2, np.zeros(4)),
+                      lambda doc: doc["axis"][0]),
+    "export_grid.j": ("j", lambda v: export_grid(_sphere(4), 0, v, 2, np.zeros(4)),
+                      lambda doc: doc["axis"][1]),
+    "export_grid.resolution": (
+        "resolution", lambda v: export_grid(_sphere(), 0, 1, v, np.zeros(2)),
+        lambda doc: doc["resolution"]),
+    "suite_instance.index": ("suite index", lambda v: suite_instance(v),
+                             lambda inst: inst.provenance["knobs"]["index"]),
+}
+
+
+class TestCounts:
+    """Every count is a whole number, checked when its configuration is
+    built: an int, a numpy integer or a float with no fraction, stored as
+    the int it names."""
+
+    @pytest.mark.parametrize("value", [1.5, 2.5, 10.7, np.nan, np.inf, "3"],
+                             ids=["1.5", "2.5", "10.7", "nan", "inf", "str"])
+    @pytest.mark.parametrize("field", COUNTS)
+    def test_rejects_what_is_not_a_whole_number(self, field, value):
+        name, build, _ = COUNTS[field]
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number, got {value}$"):
+            build(value)
+
+    @pytest.mark.parametrize("value", [3, 3.0, np.int64(3), np.float32(3.0)],
+                             ids=["int", "float", "int64", "float32"])
+    @pytest.mark.parametrize("field", COUNTS)
+    def test_stores_a_whole_number_as_an_int(self, field, value):
+        _, build, read = COUNTS[field]
+        count = read(build(value))
+        assert count == 3 and type(count) is int
+
+    @pytest.mark.parametrize("field", COUNTS)
+    def test_rejects_a_bool(self, field):
+        name, build, _ = COUNTS[field]
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number, got True$"):
+            build(True)
+
+    def test_integral_float_budget_writes_the_same_reports(self):
+        """The budget 1e3 is the budget 1000: the same milestones, keys and bytes."""
+        def reports(budget):
+            report = run_experiment(_spec(runs=2, budget=budget))
+            return csv_report_text([report]), _json_text([report_to_dict(report)])
+
+        assert reports(1e3) == reports(1000)
+        assert '"1000": ' in reports(1e3)[1]
+
+    def test_fractional_instance_seed_is_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="^seed must be a whole number, got 1.5$"):
+            gen_linearity(0.5, ScenarioConfig(dim=2, seed=1.5))
+        with pytest.raises(ValueError, match="^seed must be a whole number, got 1.5$"):
+            suite_instance(1, seed=1.5)
+
+    def test_negative_instance_seed_is_accepted(self):
+        assert ScenarioConfig(seed=-1).seed == -1
+        assert dump_instance(suite_instance(3, seed=-1.0)) == dump_instance(suite_instance(3, -1))
+
+    def test_range_messages_are_kept(self):
+        with pytest.raises(ValueError, match=r"^suite index must be in \[1, 24\], got 0$"):
+            suite_instance(0.0)
+        with pytest.raises(ValueError, match=r"^axis indices must be distinct and in \[0, 2\)"):
+            export_grid(_sphere(), 1.0, 1, 3, np.zeros(2))
+        with pytest.raises(ValueError, match="^milestones must be >= 1, got 0$"):
+            _spec(milestones=(0.0, 10))
 
 
 class TestParseInstance:

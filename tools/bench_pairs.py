@@ -22,8 +22,11 @@ and the script exits 1.
 Otherwise the JSON written holds every run's metrics and ``failed`` count, each
 metric's median per side with the parent's interquartile range, the number
 of pairs the change won (by each metric's better direction in
-BENCHMARK.json), three verdicts per metric, and the Python and numpy
-versions and CPU count, and ``src_lines``, the lines of each ``src/gnbg/*.py``
+BENCHMARK.json), three verdicts per metric, the Python and numpy
+versions, CPU count and numpy's SIMD path (``simd``: the ``baseline`` it was
+built for and the dispatch targets ``found`` on this CPU, which pick the
+code, and so the bits, of its vectorized ``exp``, ``log`` and ``sin``), and
+``src_lines``, the lines of each ``src/gnbg/*.py``
 module in each tree, and their ``total``, as ``wc -l`` counts them.  The
 verdicts:
 
@@ -97,6 +100,15 @@ def src_lines(tree: Path) -> dict:
     lines = {path.name: path.read_bytes().count(b"\n")
              for path in sorted((tree / "src" / "gnbg").glob("*.py"))}
     return {**lines, "total": sum(lines.values())}
+
+
+def simd_path() -> dict:
+    """numpy's SIMD path on this host: its build ``baseline`` and the
+    dispatch targets ``found`` on this CPU."""
+    from numpy._core import _multiarray_umath as umath
+
+    return {"baseline": list(umath.__cpu_baseline__),
+            "found": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__[t]]}
 
 
 def medians(runs: list[dict]) -> dict:
@@ -175,6 +187,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
+        "simd": simd_path(),
     }
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "parent"
