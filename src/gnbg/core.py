@@ -20,6 +20,7 @@ charged FE the one-row case of ``BudgetedEvaluator.batch``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -48,6 +49,16 @@ def _count(name: str, value, least: int | None = None) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a ``float``: the type check of a real-valued field (the
+    success threshold, a component's sigma and lambda).  A bool, a string
+    (numeric or not) or anything else that is not a real number is a
+    ValueError naming ``name``; ranges are each field's own check."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True, eq=False)
 class Component:
     """One basin: center, floor value, scaling, rotation, linearity, transform.
@@ -74,14 +85,16 @@ class Component:
         d = center.shape[0]
         if not np.all(np.isfinite(center)):
             raise ValueError("center elements must be finite")
-        if not np.isfinite(self.sigma):
-            raise ValueError(f"sigma must be finite, got {self.sigma}")
+        sigma = _real("sigma", self.sigma)
+        if not np.isfinite(sigma):
+            raise ValueError(f"sigma must be finite, got {sigma}")
         if h_diag.shape != (d,):
             raise ValueError(f"h_diag must have shape ({d},), got {h_diag.shape}")
         if np.any(h_diag <= 0) or not np.all(np.isfinite(h_diag)):
             raise ValueError("h_diag elements must be finite and strictly positive")
-        if not 0 < self.lam < np.inf:
-            raise ValueError(f"lambda must be finite and > 0, got {self.lam}")
+        lam = _real("lambda", self.lam)
+        if not 0 < lam < np.inf:
+            raise ValueError(f"lambda must be finite and > 0, got {lam}")
         rotation = self.rotation
         if self.theta is not None and rotation is not None:
             raise ValueError("theta and rotation are mutually exclusive")
@@ -99,8 +112,8 @@ class Component:
                 raise ValueError(f"rotation is not orthogonal (error {err:.3e})")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "h_diag", h_diag)
-        object.__setattr__(self, "sigma", float(self.sigma))
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "rotation", rotation)
 
     @property

@@ -48,8 +48,15 @@ class ExperimentSpec:
         object.__setattr__(self, "budget", _count("budget", self.budget, 1))
         check_threshold(self.threshold)
         fitting = tuple(m for m in DEFAULT_MILESTONES if m <= self.budget) or (self.budget,)
-        ms = fitting if self.milestones is None else tuple(
-            _count("milestones", m, 1) for m in self.milestones)
+        if self.milestones is None:
+            ms = fitting
+        else:
+            try:
+                given = iter(self.milestones)
+            except TypeError:  # not iterable, such as a bare count
+                raise ValueError(
+                    f"milestones must be a sequence of counts, got {self.milestones!r}") from None
+            ms = tuple(_count("milestones", m, 1) for m in given)
         if any(m > self.budget for m in ms):
             raise ValueError("milestones must not exceed the budget")
         if any(b <= a for a, b in zip(ms, ms[1:])):

@@ -1,11 +1,13 @@
-"""Instance serialization, point files, grid export, and report emission.
+"""Instance serialization, point files, grid export, run records, and
+report emission.
 
 Instances persist as JSON documents (``*.gnbg.json``) holding every symbol
 needed to rebuild the landscape exactly: interaction angles are stored
 sparsely as 1-indexed (p, q, angle) triples, with a dense ``rotation``
 escape field for orthogonal matrices that were never expressed as angles.
-Floats rely on Python's shortest-repr JSON encoding, which round-trips
-binary64 exactly.
+A run persists as its record, ``run_to_dict``: the one JSON form of a
+``RunResult``, which a report's runs are too.  Floats rely on Python's
+shortest-repr JSON encoding, which round-trips binary64 exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .core import Component, ProblemInstance, _count, evaluate_batch
 from .harness import ExperimentReport
+from .optimizers import RunResult
 from .rotation import ThetaSpec, compose
 from .transform import TransformParams
 
@@ -285,7 +288,7 @@ def export_grid(
 
     Rows sweep x_i from lower to upper, columns sweep x_j; the remaining
     coordinates are pinned to ``fixed``.  A value that overflows is
-    ``None`` (``null``), as in ``report_to_dict``.
+    ``None`` (``null``), as in ``run_to_dict``.
     """
     d = instance.dim
     i, j = _count("i", i), _count("j", j)
@@ -345,11 +348,35 @@ def _json_float(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
+def run_to_dict(result: RunResult) -> dict:
+    """The one JSON form of a run: ``RunResult``'s six fields, in order,
+    ``best_position`` as a list or ``None`` and ``history`` as ``[fe,
+    error]`` pairs.
+
+    A non-finite float is ``None`` (``null``), and the record is lossless:
+    every non-finite float a ``RunResult`` holds is +inf, so ``null`` reads
+    back as +inf.  A value is sigma_k + Q**lambda >= sigma_k for some
+    component k, with sigma_k finite and Q >= 0 (the kernel rejects
+    non-finite inputs), so it is never NaN or -inf, and it is +inf only
+    when the run saw no finite value.  The error, value - sigma*, is >= 0,
+    and it can overflow to +inf even where the value is finite.  Milestone
+    errors and FE to success are read from ``history``
+    (``RunResult.error_at`` and ``fe_to_success``).
+    """
+    return {
+        "best_value": _json_float(result.best_value),
+        "best_position": None if result.best_position is None else result.best_position.tolist(),
+        "best_error": _json_float(result.best_error),
+        "fe_used": result.fe_used,
+        "success": result.success,
+        "history": [[fe, _json_float(error)] for fe, error in result.history],
+    }
+
+
 def report_to_dict(report: ExperimentReport) -> dict:
-    """JSON-ready record: the aggregates, and each run's best value, error and
-    position, FE used, milestone errors, FE to success and success.  A
-    non-finite float (an error no run brought below inf, or its NaN spread)
-    is ``None``."""
+    """JSON-ready record: the aggregates, and each run's record
+    (``run_to_dict``).  A non-finite aggregate (a mean error no run brought
+    below inf, or its NaN spread) is ``None``."""
     return {
         "knob": _json_float(report.knob),
         "runs": report.runs,
@@ -358,16 +385,5 @@ def report_to_dict(report: ExperimentReport) -> dict:
         "std_errors": {str(m): _json_float(report.std_errors[m]) for m in report.milestones},
         "mean_fe_success": _json_float(report.mean_fe_success),
         "success_rate": report.success_rate,
-        "run_results": [
-            {
-                "best_value": _json_float(r.best_value),
-                "best_error": _json_float(r.best_error),
-                "best_position": None if r.best_position is None else r.best_position.tolist(),
-                "fe_used": r.fe_used,
-                "milestone_errors": {str(m): _json_float(r.error_at(m)) for m in report.milestones},
-                "fe_to_success": r.fe_to_success,
-                "success": r.success,
-            }
-            for r in report.run_results
-        ],
+        "run_results": [run_to_dict(r) for r in report.run_results],
     }

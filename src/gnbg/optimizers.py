@@ -26,7 +26,7 @@ from math import inf
 
 import numpy as np
 
-from .core import BudgetedEvaluator, _count
+from .core import BudgetedEvaluator, _count, _real
 
 DEFAULT_THRESHOLD = 1e-8
 
@@ -42,7 +42,7 @@ class OptimizerConfig:
     population: int = 100
 
     def __post_init__(self):
-        if self.kind not in SEARCHES:
+        if not isinstance(self.kind, str) or self.kind not in SEARCHES:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         object.__setattr__(self, "seed", _count("seed", self.seed, 0))
         object.__setattr__(self, "population", _count("population", self.population, 1))
@@ -244,8 +244,9 @@ SEARCHES = {"ps": _pattern_search_rows, "pso": _pso_rows, "de": _de_rows}
 def check_threshold(threshold: float) -> None:
     """Reject a success threshold that is not below inf: a run that sees no
     finite value would count as a success.  NaN is rejected too; -inf runs
-    the whole budget."""
-    if not threshold < inf:
+    the whole budget.  A value that is not a real number, a numeric string
+    included, is rejected by type."""
+    if not _real("threshold", threshold) < inf:
         raise ValueError(f"threshold must be below inf, got {threshold}")
 
 

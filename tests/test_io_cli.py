@@ -1,7 +1,9 @@
 """Tests for serialization, grid export, report emission, and the CLI."""
 
 import csv
+import dataclasses
 import json
+import math
 from importlib import resources
 
 import jsonschema
@@ -13,7 +15,7 @@ from test_kernel import _two_far_basins, random_instances
 
 from gnbg import cli
 from gnbg.cli import _build_parser, main
-from gnbg.core import Component, ProblemInstance, evaluate, evaluate_batch
+from gnbg.core import BudgetedEvaluator, Component, ProblemInstance, evaluate, evaluate_batch
 from gnbg.generators import ScenarioConfig, gen_linearity, suite_instance
 from gnbg.harness import ExperimentSpec, run_experiment, sweep
 from gnbg.instance_io import (
@@ -24,9 +26,10 @@ from gnbg.instance_io import (
     load_instance,
     parse_instance,
     report_to_dict,
+    run_to_dict,
     serialize_instance,
 )
-from gnbg.optimizers import OptimizerConfig
+from gnbg.optimizers import DEFAULT_THRESHOLD, SEARCHES, OptimizerConfig, RunResult, run_optimizer
 from gnbg.rotation import ThetaSpec, random_theta
 from gnbg.transform import TransformParams
 
@@ -525,6 +528,87 @@ class TestCsvReport:
         assert [r["knob"] for r in records] == ["a", "b"]
 
 
+def _overflowing_sphere() -> ProblemInstance:
+    """A valid instance whose every FE overflows to inf: a sphere at 0 in
+    a +-1e200 box, so a run never improves and keeps no position."""
+    box, comp = np.full(2, 1e200), Component(np.zeros(2), 0.0, np.ones(2))
+    return ProblemInstance(2, -box, box, (comp,))
+
+
+def _finite_value_infinite_error() -> ProblemInstance:
+    """A floor at -1e308 in a basin so steep that its values overflow
+    wherever PS with seed 1 looks, and a flat basin at 1e308: that run's best
+    value is 1e308, and its error, 1e308 - (-1e308), overflows."""
+    steep = Component(np.zeros(2), -1e308, np.full(2, 1e308))
+    flat = Component(np.full(2, 50.0), 1e308, np.full(2, 1e-300))
+    return ProblemInstance(2, np.full(2, -100.0), np.full(2, 100.0), (steep, flat))
+
+
+def _run(instance, kind="ps", budget=200, seed=1, population=100, threshold=DEFAULT_THRESHOLD):
+    cfg = OptimizerConfig(kind=kind, seed=seed, population=population)
+    return run_optimizer(BudgetedEvaluator(instance, budget), cfg, threshold)
+
+
+def _inf_if_null(value):
+    return math.inf if value is None else value
+
+
+class TestRunRecord:
+    """``run_to_dict`` is lossless: strict JSON of the record gives back
+    every bit of every ``RunResult`` field, with null read as +inf."""
+
+    def _round_trip(self, result: RunResult) -> dict:
+        record = run_to_dict(result)
+        jsonschema.validate(record, _schema("run.schema.json"))
+        back = json.loads(json.dumps(record, allow_nan=False))
+        assert list(back) == [f.name for f in dataclasses.fields(RunResult)]
+        assert float(_inf_if_null(back["best_value"])).hex() == float(result.best_value).hex()
+        assert float(_inf_if_null(back["best_error"])).hex() == float(result.best_error).hex()
+        if result.best_position is None:
+            assert back["best_position"] is None
+        else:
+            position = np.array(back["best_position"], dtype=float)
+            assert position.tobytes() == result.best_position.tobytes()
+        assert type(back["fe_used"]) is int and back["fe_used"] == result.fe_used
+        assert back["success"] is result.success
+        assert [fe for fe, _ in back["history"]] == [fe for fe, _ in result.history]
+        assert [float(_inf_if_null(e)).hex() for _, e in back["history"]] == [
+            float(e).hex() for _, e in result.history]
+        return back
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_instances(), st.sampled_from(sorted(SEARCHES)), st.integers(1, 120),
+           st.integers(4, 12), st.integers(0, 2**32 - 1), st.sampled_from([DEFAULT_THRESHOLD, 1e2]))
+    def test_every_search_round_trips(self, case, kind, budget, population, seed, threshold):
+        instance, _ = case
+        self._round_trip(_run(instance, kind, budget, seed, population, threshold))
+
+    def test_no_finite_value(self):
+        back = self._round_trip(_run(_overflowing_sphere(), budget=50))
+        assert (back["best_value"], back["best_error"]) == (None, None)
+        assert (back["best_position"], back["history"]) == (None, [])
+
+    def test_finite_value_whose_error_overflows(self):
+        result = _run(_finite_value_infinite_error())
+        assert (result.best_value, result.best_error, result.history) == (1e308, math.inf, ((1, math.inf),))
+        back = self._round_trip(result)
+        assert (back["best_value"], back["best_error"], back["history"]) == (1e308, None, [[1, None]])
+
+    def test_negative_zero_coordinate_is_kept(self):
+        result = RunResult(1.0, np.array([-0.0, 2.0]), 0.5, 3, False, ((1, 2.0), (3, 0.5)))
+        assert math.copysign(1.0, self._round_trip(result)["best_position"][0]) == -1.0
+
+    @pytest.mark.parametrize("key, value", [
+        ("fe_used", None), ("success", None), ("best_position", [None, 1.0]),
+        ("history", [[None, 1.0]]), ("history", [[0, 1.0]]), ("history", [[1, -1.0]]),
+        ("history", [[1, 1.0, 2]]), ("best_error", -1.0), ("milestone_errors", {}),
+    ])
+    def test_schema_rejects_what_no_run_holds(self, key, value):
+        record = run_to_dict(_run(_sphere_2d(), budget=20))
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(dict(record, **{key: value}), _schema("run.schema.json"))
+
+
 class TestCli:
     def test_suite_byte_identical(self, capsys):
         assert main(["suite", "--id", "1", "--seed", "42"]) == 0
@@ -633,11 +717,8 @@ class TestCli:
         assert "threshold" in captured.err
 
     def _overflowing_sphere(self, tmp_path):
-        """A valid document whose every FE overflows to inf: a sphere at 0 in
-        a +-1e200 box, so a run never improves and keeps no position."""
-        box, comp = np.full(2, 1e200), Component(np.zeros(2), 0.0, np.ones(2))
         path = tmp_path / "big.gnbg.json"
-        path.write_text(dump_instance(ProblemInstance(2, -box, box, (comp,))))
+        path.write_text(dump_instance(_overflowing_sphere()))
         return str(path)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -668,8 +749,7 @@ class TestCli:
         (report,) = _strict_json(out.read_text())
         assert set(report["mean_errors"].values()) == set(report["std_errors"].values()) == {None}
         for run in report["run_results"]:
-            assert (run["best_value"], run["best_error"]) == (None, None)
-            assert set(run["milestone_errors"].values()) == {None}
+            assert (run["best_value"], run["best_error"], run["history"]) == (None, None, [])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_report_of_errors_whose_sum_overflows_is_finite(self, tmp_path, capfd):
@@ -800,7 +880,8 @@ class TestCli:
             assert record["success_rate"] == 100.0 * sum(successes) / len(successes)
             assert float(row["success_rate"]) == record["success_rate"]
             for n, m in enumerate(record["milestones"], 1):
-                mean = np.mean([run["milestone_errors"][str(m)] for run in runs])
+                # a milestone's error: the last improvement's error at or before it
+                mean = np.mean([[e for fe, e in run["history"] if fe <= m][-1] for run in runs])
                 assert float(row[f"mean_err_m{n}"]) == record["mean_errors"][str(m)] == mean
 
     def test_run_emits_csv(self, capsys):

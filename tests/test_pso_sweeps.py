@@ -7,6 +7,8 @@ budgets that end mid-sweep, at thresholds that stop a sweep part-way, and
 for swarms of every size.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,9 @@ from hypothesis import strategies as st
 
 from gnbg.core import BudgetedEvaluator, BudgetExhaustedError
 from gnbg.generators import SUITE_SIZE, suite_instance
+from gnbg.instance_io import run_to_dict
 from gnbg.optimizers import DEFAULT_THRESHOLD, OptimizerConfig, _finish, run_optimizer
 from test_kernel import charge_one, random_instances
-
-MILESTONES = (100, 333)
 
 
 class _Stop(Exception):
@@ -63,27 +64,18 @@ def oracle_pso(evaluator, cfg, threshold=DEFAULT_THRESHOLD):
     return _finish(evaluator, threshold)
 
 
-def _record(optimizer, instance, budget, cfg, threshold, milestones):
-    """Every RunResult field and the history, floats as exact hex."""
-    ev = BudgetedEvaluator(instance, budget)
-    r = optimizer(ev, cfg, threshold)
-    return {
-        "best_value": float(r.best_value).hex(),
-        "best_error": float(r.best_error).hex(),
-        "best_position": np.asarray(r.best_position, dtype=float).tobytes(),
-        "fe_used": r.fe_used,
-        "milestone_errors": {m: r.error_at(m).hex() for m in milestones},
-        "fe_to_success": r.fe_to_success,
-        "success": r.success,
-        "history": [(fe, float(e).hex()) for fe, e in ev.history],
-    }
+def _record(optimizer, instance, budget, cfg, threshold):
+    """The run's record as JSON text: every RunResult field and the whole
+    history, each float bit for bit (repr keeps the sign of zero)."""
+    r = optimizer(BudgetedEvaluator(instance, budget), cfg, threshold)
+    return json.dumps(run_to_dict(r), allow_nan=False)
 
 
-def _assert_same(instance, budget, cfg, threshold=DEFAULT_THRESHOLD, milestones=()):
-    args = (instance, budget, cfg, threshold, milestones)
+def _assert_same(instance, budget, cfg, threshold=DEFAULT_THRESHOLD):
+    args = (instance, budget, cfg, threshold)
     expected = _record(oracle_pso, *args)
     assert _record(run_optimizer, *args) == expected
-    return expected
+    return json.loads(expected)
 
 
 SUITE = range(1, SUITE_SIZE + 1)
@@ -94,7 +86,7 @@ SUITE = range(1, SUITE_SIZE + 1)
 @pytest.mark.parametrize("k", SUITE)
 def test_suite_runs_match_oracle(k, budget, seed):
     cfg = OptimizerConfig(kind="pso", seed=seed)
-    _assert_same(suite_instance(k, 0), budget, cfg, milestones=MILESTONES)
+    _assert_same(suite_instance(k, 0), budget, cfg)
 
 
 @pytest.mark.parametrize("population", (3, 4))
@@ -102,7 +94,7 @@ def test_suite_runs_match_oracle(k, budget, seed):
 @pytest.mark.parametrize("k", SUITE)
 def test_small_swarms_match_oracle(k, seed, population):
     cfg = OptimizerConfig(kind="pso", seed=seed, population=population)
-    _assert_same(suite_instance(k, 0), 333, cfg, milestones=MILESTONES)
+    _assert_same(suite_instance(k, 0), 333, cfg)
 
 
 @pytest.mark.parametrize("population", (4, 100))
@@ -112,12 +104,13 @@ def test_threshold_stop_mid_sweep_matches_oracle(k, population):
     first nor the last particle of its sweep, so the run must stop there."""
     instance, budget = suite_instance(k, 0), 1000
     cfg = OptimizerConfig(kind="pso", seed=3, population=population)
-    full = _record(run_optimizer, instance, budget, cfg, -np.inf, ())["history"]
+    full = json.loads(_record(run_optimizer, instance, budget, cfg, -np.inf))["history"]
     mid = [(fe, e) for fe, e in full if fe > population and 0 < (fe - 1) % population < population - 1]
     assert mid, "no improvement strictly inside a sweep"
     fe, error = mid[len(mid) // 2]
-    stopped = _assert_same(instance, budget, cfg, float.fromhex(error), MILESTONES)
-    assert stopped["fe_used"] == stopped["fe_to_success"] == fe
+    stopped = _assert_same(instance, budget, cfg, error)
+    assert stopped["success"]
+    assert stopped["fe_used"] == stopped["history"][-1][0] == fe
 
 
 @settings(max_examples=100, deadline=None)
@@ -131,4 +124,4 @@ def test_threshold_stop_mid_sweep_matches_oracle(k, population):
 def test_random_instances_match_oracle(case, population, seed, extra, threshold):
     instance, _ = case
     cfg = OptimizerConfig(kind="pso", seed=seed, population=population)
-    _assert_same(instance, population + extra, cfg, threshold, (population,))
+    _assert_same(instance, population + extra, cfg, threshold)

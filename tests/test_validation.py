@@ -264,6 +264,34 @@ class TestCounts:
             _spec(milestones=(0.0, 10))
 
 
+class TestFieldsThatAreNotCounts:
+    """A field that is not a count rejects a value of the wrong type with a
+    ValueError naming it, a numeric string included."""
+
+    def test_kind_not_a_string(self):
+        with pytest.raises(ValueError, match=r"^unknown optimizer kind \['ps'\]$"):
+            OptimizerConfig(kind=["ps"])
+
+    @pytest.mark.parametrize("value", ["x", "1e-8", None, True])
+    def test_threshold_not_a_real_number(self, value):
+        message = f"^threshold must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            _spec(threshold=value)
+
+    def test_milestones_not_a_sequence(self):
+        with pytest.raises(ValueError, match="^milestones must be a sequence of counts, got 5$"):
+            _spec(milestones=5)
+
+    @pytest.mark.parametrize("value", ["x", "0.5"])
+    def test_lambda_not_a_real_number(self, value):
+        with pytest.raises(ValueError, match=f"^lambda must be a real number, got '{value}'$"):
+            gen_linearity(value)
+
+    def test_sigma_not_a_real_number(self):
+        with pytest.raises(ValueError, match="^sigma must be a real number, got '0'$"):
+            Component(np.zeros(2), "0", np.ones(2))
+
+
 class TestParseInstance:
     def _doc(self):
         return serialize_instance(_sphere())
