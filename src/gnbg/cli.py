@@ -3,13 +3,13 @@ grids, and self-checks.
 
 Exit codes: 0 success, 1 usage error, 2 data or validation error.  The
 GNBG_SEED environment variable supplies the default seed when no --seed
-flag is given.  All outputs are deterministic for fixed inputs.
+flag is given.  All outputs are deterministic for fixed inputs, and each
+JSON output is one line (``instance_io._json_text``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from functools import cache
@@ -30,6 +30,7 @@ from .harness import (
 from .instance_io import (
     InstanceFormatError,
     _json_float,
+    _json_text,
     csv_report_text,
     dump_instance,
     export_grid,
@@ -62,12 +63,6 @@ def _default_seed() -> int:
         return int(raw)
     except ValueError:
         raise _UsageError(f"GNBG_SEED must be an integer, got {raw!r}") from None
-
-
-def _json_text(doc) -> str:
-    """Strict, indented JSON and a newline: a non-finite float that reached
-    here would fail loudly."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _write_out(text: str, out: str | None) -> None:

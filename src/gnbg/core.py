@@ -51,9 +51,9 @@ def _count(name: str, value, least: int | None = None) -> int:
 
 def _real(name: str, value) -> float:
     """``value`` as a ``float``: the type check of a real-valued field (the
-    success threshold, a component's sigma and lambda).  A bool, a string
-    (numeric or not) or anything else that is not a real number is a
-    ValueError naming ``name``; ranges are each field's own check."""
+    success threshold, a component's sigma and lambda, a scenario's knobs).
+    A bool, a string (numeric or not) or anything else that is not a real
+    number is a ValueError naming ``name``; ranges are each field's own check."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return float(value)

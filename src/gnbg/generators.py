@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import Component, ProblemInstance, _count
+from .core import Component, ProblemInstance, _count, _real
 from .rotation import ANGLE_RANGE, ThetaSpec, compose, full_theta, random_theta
 from .transform import TransformParams
 
@@ -233,8 +233,9 @@ def gen_conditioning(
     ``ALPHA_BETA``, stretched over [1, cond] (small alpha = beta pushes
     mass toward the endpoints).
     """
-    if cond < 1:
-        raise ValueError(f"condition number must be >= 1, got {cond}")
+    cond = _real("condition number", cond)
+    if not 1 <= cond < np.inf:
+        raise ValueError(f"condition number must be finite and >= 1, got {cond}")
     if cond > 1 and cfg.dim == 1:
         raise ValueError(f"a 1-D diagonal has condition number 1, got {cond}")
     alpha, beta = ALPHA_BETA
@@ -253,9 +254,14 @@ def gen_interaction(
     to ``fixed_angle``."""
     if (p_prob is None) == (fixed_angle is None):
         raise ValueError("exactly one of p_prob / fixed_angle must be given")
-    knobs = {"p_prob": p_prob} if fixed_angle is None else {"fixed_angle": fixed_angle}
-    theta = (_random_theta(p_prob) if fixed_angle is None
-             else lambda slot: full_theta(slot.dim, fixed_angle))
+    if fixed_angle is None:
+        p_prob = _real("p_prob", p_prob)
+        knobs, theta = {"p_prob": p_prob}, _random_theta(p_prob)
+    else:
+        fixed_angle = _real("fixed_angle", fixed_angle)
+        if not np.isfinite(fixed_angle):
+            raise ValueError(f"fixed_angle must be finite, got {fixed_angle}")
+        knobs, theta = {"fixed_angle": fixed_angle}, lambda slot: full_theta(slot.dim, fixed_angle)
     entry = _Entry(sigma=0.0, center=0.0, h=_uniform("h", 1.0, 100.0), theta=theta)
     return _build(entry, cfg, "interaction", **knobs)
 
@@ -265,6 +271,7 @@ def gen_multimodal(
 ) -> ProblemInstance:
     """Single symmetric multimodal basin: equal amplitudes and one shared
     frequency, no scaling or rotation."""
+    mu, omega = _real("mu", mu), _real("omega", omega)
     entry = _Entry(sigma=0.0, center=0.0, mu=(mu, mu), omega=(omega,) * 4)
     return _build(entry, cfg, "multimodal", mu=mu, omega=omega)
 

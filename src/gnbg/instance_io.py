@@ -6,8 +6,10 @@ needed to rebuild the landscape exactly: interaction angles are stored
 sparsely as 1-indexed (p, q, angle) triples, with a dense ``rotation``
 escape field for orthogonal matrices that were never expressed as angles.
 A run persists as its record, ``run_to_dict``: the one JSON form of a
-``RunResult``, which a report's runs are too.  Floats rely on Python's
-shortest-repr JSON encoding, which round-trips binary64 exactly.
+``RunResult``, which a report's runs are too.  Every document, grid,
+record and report is written by ``_json_text``, as one line of strict JSON.
+Floats rely on Python's shortest-repr JSON encoding, which round-trips
+binary64 exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import csv
 import io
 import json
 import math
-from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -36,17 +37,9 @@ class InstanceFormatError(ValueError):
 
 
 def serialize_instance(instance: ProblemInstance) -> dict:
-    doc = _document(instance)
-    for record in doc["components"]:
-        record["theta"] = [{"p": p, "q": q, "angle": angle} for p, q, angle in record["theta"]]
-    return doc
-
-
-def _document(instance: ProblemInstance) -> dict:
-    """``serialize_instance``'s document, with each theta list as its
-    (p, q, angle) tuples."""
     components = []
     for comp in instance.components:
+        triples = comp.theta.to_triples() if comp.theta else []
         record = {
             "sigma": comp.sigma,
             "m": comp.center.tolist(),
@@ -54,7 +47,7 @@ def _document(instance: ProblemInstance) -> dict:
             "lambda": comp.lam,
             "mu": list(comp.transform.mu),
             "omega": list(comp.transform.omega),
-            "theta": comp.theta.to_triples() if comp.theta else [],
+            "theta": [{"p": p, "q": q, "angle": angle} for p, q, angle in triples],
         }
         if comp.theta is None and comp.rotation is not None:
             record["rotation"] = comp.rotation.tolist()
@@ -204,54 +197,18 @@ def parse_instance(doc: dict) -> ProblemInstance:
         raise InstanceFormatError(f"document: {exc}") from None
 
 
-# One theta entry as ``json.dumps(indent=2)`` writes it in a document: %d
-# and %r are what json writes for an int and a finite float, and ThetaSpec
-# angles are finite.
-_THETA_ENTRY = '{\n          "p": %d,\n          "q": %d,\n          "angle": %r\n        }'
-_SLOT = "<list>"
-
-
-def _list_text(items, depth: int) -> str:
-    """A list as ``json.dumps(indent=2)`` writes it ``depth`` levels deep,
-    given the texts of its items."""
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "]"
-
-
-def _field_text(key: str, value: list, depth: int) -> str:
-    """A list field as ``json.dumps(indent=2)`` writes it ``depth`` levels deep.
-
-    Every float a document holds is finite (the constructors check), and
-    json writes a finite float as its repr.
-    """
-    if key == "theta":  # a component's (p, q, angle) tuples, three levels deep
-        return _list_text([_THETA_ENTRY] * len(value), depth) % tuple(chain.from_iterable(value))
-    if key == "rotation":
-        return _list_text([_list_text(list(map(repr, row)), depth + 1) for row in value], depth)
-    return _list_text(list(map(repr, value)), depth)
+def _json_text(doc) -> str:
+    """The one JSON writer: ``doc`` on one line and a newline, with the C
+    encoder's default separators.  Strict: a non-finite float that reached
+    here fails loudly, since ``inf`` and NaN are not JSON."""
+    return json.dumps(doc, allow_nan=False) + "\n"
 
 
 def dump_instance(instance: ProblemInstance) -> str:
-    """The document's text: ``json.dumps(serialize_instance(instance),
-    indent=2)`` and a newline, byte for byte.
-
-    json's indenting encoder runs in Python, so every list is rendered here
-    with one join (the theta lists with one template each) and put in place
-    of a placeholder string.
-    """
-    doc = _document(instance)
-    lists = []
-    for record, depth in [(doc["bounds"], 2), *((r, 3) for r in doc["components"])]:
-        for key, value in record.items():
-            if isinstance(value, list):
-                lists.append(_field_text(key, value, depth))
-                record[key] = _SLOT
-    # bounds and components precede provenance, so the first len(lists)
-    # placeholders are the lists, in order, whatever strings provenance holds
-    pieces = json.dumps(doc, indent=2).split(json.dumps(_SLOT), len(lists))
-    return "".join(chain.from_iterable(zip(pieces, lists))) + pieces[-1] + "\n"
+    """The document's text, ``_json_text(serialize_instance(instance))``.
+    ``load_instance`` ignores whitespace, so it reads a document of any
+    layout, the indented one of earlier versions too."""
+    return _json_text(serialize_instance(instance))
 
 
 def load_instance(text: str) -> ProblemInstance:

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import pathlib
 from importlib import resources
 
 import jsonschema
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_kernel import _two_far_basins, random_instances
 
+import gnbg
 from gnbg import cli
 from gnbg.cli import _build_parser, main
 from gnbg.core import BudgetedEvaluator, Component, ProblemInstance, evaluate, evaluate_batch
@@ -20,6 +22,7 @@ from gnbg.generators import ScenarioConfig, gen_linearity, suite_instance
 from gnbg.harness import ExperimentSpec, run_experiment, sweep
 from gnbg.instance_io import (
     InstanceFormatError,
+    _json_text,
     csv_report_text,
     dump_instance,
     export_grid,
@@ -54,8 +57,8 @@ def _sphere_2d():
 
 
 _JSON_LEAVES = (
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
-    | st.just("<list>")  # the placeholder dump_instance swaps for lists
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
 )
 _PROVENANCE = st.none() | st.fixed_dictionaries({
     "generator": st.text(max_size=8),
@@ -101,8 +104,25 @@ def stored_instances(draw):
 class TestRoundTrip:
     @settings(max_examples=150, deadline=None)
     @given(stored_instances())
-    def test_dump_is_json_dumps_byte_for_byte(self, inst):
-        assert dump_instance(inst) == json.dumps(serialize_instance(inst), indent=2) + "\n"
+    def test_dump_is_one_line_of_its_document(self, inst):
+        text = dump_instance(inst)
+        assert text.endswith("\n") and "\n" not in text[:-1]
+        assert json.loads(text) == serialize_instance(inst)
+
+    @settings(max_examples=50, deadline=None)
+    @given(stored_instances())
+    def test_indented_document_loads_bit_for_bit(self, inst):
+        """A document in the indented layout of earlier versions loads to
+        the instance it was written from: every float has the same repr."""
+        indented = json.dumps(serialize_instance(inst), indent=2) + "\n"
+        assert dump_instance(load_instance(indented)) == dump_instance(inst)
+
+    def test_dump_rejects_a_non_finite_provenance_float(self):
+        sphere = _sphere_2d()
+        inst = ProblemInstance(2, sphere.lower, sphere.upper, sphere.components,
+                               {"knobs": {"cond": math.inf}})
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dump_instance(inst)
 
     def test_suite_instance_round_trips(self):
         inst = suite_instance(14, seed=0)
@@ -609,6 +629,43 @@ class TestRunRecord:
             jsonschema.validate(dict(record, **{key: value}), _schema("run.schema.json"))
 
 
+# every command that writes JSON, to a file where it takes one
+_JSON_COMMANDS = {
+    "suite": ["suite", "--id", "3", "--seed", "0"],
+    "generate": ["generate", "--scenario", "interaction", "--value", "0.5", "--dim", "3",
+                 "--out", "{out}"],
+    "grid": ["grid", "--instance", "{instance}", "--i", "0", "--j", "2", "--resolution", "3",
+             "--out", "{out}"],
+    "classify": ["classify", "--instance", "{instance}"],
+    "run": ["run", "--suite", "24", "--optimizer", "de", "--runs", "2", "--budget", "300",
+            "--milestones", "100,300", "--seed", "1", "--json", "{out}"],
+    "sweep": ["sweep", "--scenario", "multimodal", "--values", "0.2,0.5", "--omega", "20",
+              "--dim", "3", "--optimizer", "pso", "--runs", "2", "--budget", "200",
+              "--population", "10", "--seed", "0", "--json", "{out}"],
+}
+
+
+class TestOneJsonWriter:
+    """Every JSON output is one line written by ``instance_io._json_text``."""
+
+    @pytest.mark.parametrize("name", _JSON_COMMANDS)
+    def test_output_is_the_writers_line(self, tmp_path, capsys, name):
+        instance, out = tmp_path / "inst.gnbg.json", tmp_path / "out.json"
+        instance.write_text(dump_instance(suite_instance(21, seed=0)))
+        argv = [a.format(instance=instance, out=out) for a in _JSON_COMMANDS[name]]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        text = out.read_text() if "--out" in argv or "--json" in argv else stdout
+        assert text == _json_text(json.loads(text))
+        assert text.count("\n") == 1
+
+    def test_json_dumps_is_called_once(self):
+        package = pathlib.Path(gnbg.__file__).parent
+        calls = [(path.name, line.strip()) for path in sorted(package.rglob("*.py"))
+                 for line in path.read_text().splitlines() if "dumps" in line]
+        assert calls == [("instance_io.py", 'return json.dumps(doc, allow_nan=False) + "\\n"')]
+
+
 class TestCli:
     def test_suite_byte_identical(self, capsys):
         assert main(["suite", "--id", "1", "--seed", "42"]) == 0
@@ -826,7 +883,8 @@ class TestCli:
         path = tmp_path / "wide.gnbg.json"
         for bound, code in [(2.0**1000, 0), (np.nextafter(2.0**1000, np.inf), 2), (1.7e308, 2)]:
             doc["bounds"] = {"lower": [-bound] * 2, "upper": [bound] * 2}
-            path.write_text(json.dumps(doc))  # compact, so verify would probe it
+            # the indented layout of earlier versions, so verify would probe it
+            path.write_text(json.dumps(doc, indent=2) + "\n")
             assert main([*argv, "--instance", str(path)]) == code
             captured = capsys.readouterr()
             if code:
@@ -1003,13 +1061,14 @@ class TestCli:
         assert capsys.readouterr().out == "ok\n"
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("how", ["compact", "int-for-float"])
+    @pytest.mark.parametrize("how", ["indented", "int-for-float"])
     def test_verify_probes_a_non_canonical_document(self, tmp_path, capsys, monkeypatch, how):
+        """The indented layout of earlier versions, or an int where the
+        dump writes a float, is probed, and passes."""
         doc = serialize_instance(suite_instance(5, seed=0))
-        text = json.dumps(doc)
         if how == "int-for-float":
             doc["bounds"]["lower"][0] = -100
-            text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2) + "\n"
         path = tmp_path / "inst.gnbg.json"
         path.write_text(text)
         calls = self._count_loads(monkeypatch)

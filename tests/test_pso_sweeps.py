@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gnbg.core import BudgetedEvaluator, BudgetExhaustedError
 from gnbg.generators import SUITE_SIZE, suite_instance
-from gnbg.instance_io import run_to_dict
+from gnbg.instance_io import _json_text, run_to_dict
 from gnbg.optimizers import DEFAULT_THRESHOLD, OptimizerConfig, _finish, run_optimizer
 from test_kernel import charge_one, random_instances
 
@@ -68,7 +68,7 @@ def _record(optimizer, instance, budget, cfg, threshold):
     """The run's record as JSON text: every RunResult field and the whole
     history, each float bit for bit (repr keeps the sign of zero)."""
     r = optimizer(BudgetedEvaluator(instance, budget), cfg, threshold)
-    return json.dumps(run_to_dict(r), allow_nan=False)
+    return _json_text(run_to_dict(r))
 
 
 def _assert_same(instance, budget, cfg, threshold=DEFAULT_THRESHOLD):

@@ -9,12 +9,21 @@ import re
 import numpy as np
 import pytest
 
-from gnbg.cli import _json_text, main
+from gnbg.cli import main
 from gnbg.core import BOUND_LIMIT, BudgetedEvaluator, Component, ProblemInstance
-from gnbg.generators import ScenarioConfig, gen_linearity, gen_multicomponent, suite_instance
+from gnbg.generators import (
+    ScenarioConfig,
+    gen_conditioning,
+    gen_interaction,
+    gen_linearity,
+    gen_multicomponent,
+    gen_multimodal,
+    suite_instance,
+)
 from gnbg.harness import ExperimentSpec, run_experiment, sweep
 from gnbg.instance_io import (
     InstanceFormatError,
+    _json_text,
     csv_report_text,
     dump_instance,
     export_grid,
@@ -286,6 +295,26 @@ class TestFieldsThatAreNotCounts:
     def test_lambda_not_a_real_number(self, value):
         with pytest.raises(ValueError, match=f"^lambda must be a real number, got '{value}'$"):
             gen_linearity(value)
+
+    @pytest.mark.parametrize("value", ["x", "0.5", True, None, float("nan")])
+    @pytest.mark.parametrize("knob,build", [
+        ("condition number", lambda v, cfg: gen_conditioning(v, cfg)),
+        ("p_prob", lambda v, cfg: gen_interaction(p_prob=v, cfg=cfg)),
+        ("fixed_angle", lambda v, cfg: gen_interaction(fixed_angle=v, cfg=cfg)),
+        ("mu", lambda v, cfg: gen_multimodal(v, 1.0, cfg)),
+        ("omega", lambda v, cfg: gen_multimodal(0.5, v, cfg)),
+    ], ids=["cond", "p_prob", "fixed_angle", "mu", "omega"])
+    def test_scenario_knob_not_a_real_number(self, knob, build, value):
+        """A scenario knob of the wrong type, or NaN, is a ValueError naming
+        it (None for an interaction knob is the knob not given)."""
+        with pytest.raises(ValueError, match=knob):
+            build(value, ScenarioConfig(dim=2))
+
+    @pytest.mark.parametrize("cond", [0.5, float("inf")])
+    def test_condition_number_must_be_finite_and_at_least_one(self, cond):
+        message = f"^condition number must be finite and >= 1, got {cond}$"
+        with pytest.raises(ValueError, match=message):
+            gen_conditioning(cond, ScenarioConfig(dim=2))
 
     def test_sigma_not_a_real_number(self):
         with pytest.raises(ValueError, match="^sigma must be a real number, got '0'$"):
